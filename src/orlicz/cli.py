@@ -348,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("delta_lo", float, "support floor"),
         ("eps_hi", float, "support ceiling"),
         ("budget", int, "iteration budget"),
-        ("norm_tol", float, "norm bisection tolerance"),
+        ("norm_tol", float, "relative tolerance of the norm solver"),
         ("grid_dims", int, "number of leading grid coordinates"),
         ("grid_step", float, "grid spacing"),
         ("grid_radius", float, "grid half-width"),

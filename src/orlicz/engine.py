@@ -367,8 +367,9 @@ def support_from_below(
     K = f.domain_radius
     radius_slack = K * (1.0 + 1e-9)
 
+    # ||x|| > r exactly when sigma(x/r) > 1: one modular pass, no norm solve.
     def shifted(x: SparseSequence) -> float:
-        if luxemburg_norm(M, x) > radius_slack:
+        if modular(M, x.scale(1.0 / radius_slack)) > 1.0:
             return math.inf
         return float(f.eval(x)) - eps_hi * modular(M, x)
 
@@ -378,8 +379,7 @@ def support_from_below(
         def shifted_dense(rows: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
             base = np.asarray(f.eval_dense(rows, indices), dtype=float)
             out = base - eps_hi * modular_dense(M, rows)
-            outside = luxemburg_norm_dense(M, rows) > radius_slack
-            out[outside] = math.inf
+            out[modular_dense(M, rows / radius_slack) > 1.0] = math.inf
             return out
 
     f1 = Objective(

@@ -49,6 +49,8 @@ class OrliczFunction:
     eval, deriv1, deriv2 are vectorized callables on t >= 0.  Missing
     derivatives fall back to central differences with step
     h = max(1e-8, 1e-6 t), which fails (by design) too close to 0.
+    power is (p, scale) when M(t) = scale * t**p, which gives the norm a
+    closed form.
     """
 
     eval: Callable
@@ -57,6 +59,7 @@ class OrliczFunction:
     deriv1: Optional[Callable] = None
     deriv2: Optional[Callable] = None
     delta2_constant: Optional[float] = None
+    power: Optional[tuple[float, float]] = None
 
     def __call__(self, t):
         return self.eval(t)
@@ -126,6 +129,7 @@ def make_power(p: float, scale: float = 1.0) -> OrliczFunction:
         t_bar=_scan_t_bar(evaluate),
         delta2_constant=2.0 ** (-p),
         family_tag=tag,
+        power=(float(p), float(scale)),
     )
 
 

@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 _NORM_MAX_ITER = 200
+# Machine epsilon: the dense norm's default tolerance is full double precision.
+_FULL_PRECISION = 2.0 ** -52
+# Rows per block of the dense norm, which bounds the size of its temporaries.
+_BLOCK_ROWS = 1024
 
 
 def modular(M: OrliczFunction, x: SparseSequence) -> float:
@@ -38,40 +42,18 @@ def modular(M: OrliczFunction, x: SparseSequence) -> float:
     return float(np.sum(np.asarray(M.eval(vals), dtype=float)))
 
 
-def _modular_scaled(M: OrliczFunction, absvals: np.ndarray, rho: float) -> float:
-    return float(np.sum(np.asarray(M.eval(absvals / rho), dtype=float)))
-
-
 def luxemburg_norm(M: OrliczFunction, x: SparseSequence, tol: float = 1e-12) -> float:
-    """Gauge of the modular unit ball, by bracketing and bisection on rho.
+    """Gauge of the modular unit ball: a one-row call of the dense kernel.
 
-    sigma(x/rho) is non-increasing in rho, > 1 at rho = max|x_n|/t_bar
-    (single term M(t_bar) > 1 already), and <= 1 once rho is doubled far
-    enough.  Bisection then shrinks the bracket to relative width tol.
+    tol bounds the relative size of the last Newton step, or the relative
+    bracket width when M has no derivative and the kernel bisects.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     if not x.entries:
         return 0.0
-    absvals = np.abs(np.array(x.values(), dtype=float))
-    lo = float(absvals.max()) / M.t_bar
-    hi = lo
-    for _ in range(_NORM_MAX_ITER):
-        if _modular_scaled(M, absvals, hi) <= 1.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise OrliczError("bracketing failed: sigma(x/rho) stayed above 1")
-    for _ in range(_NORM_MAX_ITER):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if _modular_scaled(M, absvals, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    absvals = np.abs(np.array(x.values(), dtype=float))[None, :]
+    return float(_norm_block(M, absvals, absvals.max(axis=1), tol)[0])
 
 
 def modular_dense(M: OrliczFunction, rows: np.ndarray) -> np.ndarray:
@@ -83,36 +65,93 @@ def modular_dense(M: OrliczFunction, rows: np.ndarray) -> np.ndarray:
 
 
 def luxemburg_norm_dense(
-    M: OrliczFunction, rows: np.ndarray, iters: int = 60
+    M: OrliczFunction, rows: np.ndarray, tol: float = _FULL_PRECISION
 ) -> np.ndarray:
-    """Row-wise Luxemburg norm of a dense (n, d) block, vectorized bisection."""
+    """Row-wise Luxemburg norm of a dense (n, d) block.
+
+    Power families take the closed form; every other M is solved per row by
+    Newton's method on sigma(x/rho) = 1, or by bisection when M carries no
+    derivative.  Rows go through in blocks of 1024, which bounds the
+    temporaries.
+    """
+    if tol <= 0.0:
+        raise DomainError(f"tol must be > 0, got {tol}")
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows[None, :]
-    absr = np.abs(rows)
-    vmax = absr.max(axis=1)
-    nz = vmax > 0.0
     out = np.zeros(len(rows), dtype=float)
-    if not nz.any():
-        return out
-    a = absr[nz]
-    hi = vmax[nz] / M.t_bar
-    # sigma(x/hi) > 1 at the guard value, so every row doubles at least once.
+    for s in range(0, len(rows), _BLOCK_ROWS):
+        a = np.abs(rows[s : s + _BLOCK_ROWS])
+        vmax = a.max(axis=1)
+        nz = vmax > 0.0
+        if nz.all():
+            out[s : s + len(a)] = _norm_block(M, a, vmax, tol)
+        elif nz.any():
+            out[s : s + len(a)][nz] = _norm_block(M, a[nz], vmax[nz], tol)
+    return out
+
+
+def _sigma(M: OrliczFunction, a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return np.asarray(M.eval(a / rho[:, None]), dtype=float).sum(axis=1)
+
+
+def _norm_block(
+    M: OrliczFunction, a: np.ndarray, vmax: np.ndarray, tol: float
+) -> np.ndarray:
+    """Norms of the rows of a nonnegative block a; every row max vmax > 0."""
+    if M.power is not None:
+        # (s sum a^p)^(1/p), scaled by the row max so that neither a^p
+        # underflows nor overflows.
+        p = M.power[0]
+        if p == 1.0:  # the norm is the modular itself
+            return np.asarray(M.eval(a), dtype=float).sum(axis=1)
+        return vmax * _sigma(M, a, vmax) ** (1.0 / p)
+    # sigma(x/rho) > 1 at rho = vmax/t_bar: the largest term alone is M(t_bar).
+    rho = vmax / M.t_bar
+    if M.deriv1 is None:
+        return _bisect(M, a, rho, tol)
+    # phi(rho) = sigma(x/rho) - 1 is convex and decreasing, so Newton steps
+    # from the left of the root climb to it without overshooting.  With
+    # t = a/rho, -phi'(rho) = sum M'(t) t / rho.
+    out = np.empty_like(rho)
+    live = np.arange(len(rho))
     for _ in range(_NORM_MAX_ITER):
-        sig = np.asarray(M.eval(a / hi[:, None]), dtype=float).sum(axis=1)
-        need = sig > 1.0
+        t = a / rho[:, None]
+        phi = np.asarray(M.eval(t), dtype=float).sum(axis=1) - 1.0
+        slope = (np.asarray(M.deriv1(t), dtype=float) * t).sum(axis=1)
+        step = rho * np.maximum(phi, 0.0) / slope
+        if not np.isfinite(step).all():
+            raise OrliczError("Newton step for the norm is not finite; check M.deriv1")
+        rho = rho + step
+        done = (phi <= 0.0) | (step <= tol * rho)
+        if done.all():
+            out[live] = rho
+            return out
+        if done.any():
+            out[live[done]] = rho[done]
+            keep = ~done
+            a, rho, live = a[keep], rho[keep], live[keep]
+    raise OrliczError("Newton iteration for the norm did not converge")
+
+
+def _bisect(M: OrliczFunction, a: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Bracket by doubling from the left guard hi, then bisect to width tol."""
+    for _ in range(_NORM_MAX_ITER):
+        need = _sigma(M, a, hi) > 1.0
         if not need.any():
             break
         hi[need] *= 2.0
+    else:
+        raise OrliczError("bracketing failed: sigma(x/rho) stayed above 1")
     lo = hi / 2.0
-    for _ in range(iters):
+    for _ in range(_NORM_MAX_ITER):
+        if (hi - lo <= tol * hi).all():
+            break
         mid = 0.5 * (lo + hi)
-        sig = np.asarray(M.eval(a / mid[:, None]), dtype=float).sum(axis=1)
-        above = sig > 1.0
+        above = _sigma(M, a, mid) > 1.0
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    out[nz] = 0.5 * (lo + hi)
-    return out
+    return 0.5 * (lo + hi)
 
 
 def project_head(x: SparseSequence, n: int) -> SparseSequence:

@@ -160,8 +160,10 @@ def _diam_estimate(points, M: OrliczFunction, cap: int = 200) -> float:
     if len(pts) < 2:
         return 0.0
     if len(pts) > cap:
-        stride = max(1, len(pts) // cap)
-        pts = pts[::stride][:cap]
+        # Evenly spaced over the whole list, first and last kept: samplers
+        # append their special points (zero, witnesses) at the end.
+        keep = np.rint(np.linspace(0, len(pts) - 1, cap)).astype(int)
+        pts = [pts[i] for i in keep]
     rows = _dense_block(pts)
     n = len(rows)
     ii, jj = np.triu_indices(n, k=1)

@@ -1,0 +1,186 @@
+"""Differential tests of the Luxemburg-norm kernel.
+
+The kernel answers power families in closed form and every other family by
+Newton's method, falling back to bisection only when M has no derivative.
+Each path is checked here against a plain scalar bisection that runs the
+bracket down to adjacent floats.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import orlicz.space as space
+from orlicz import (
+    SparseSequence,
+    luxemburg_norm,
+    luxemburg_norm_dense,
+    make_non_delta2,
+    parse_family,
+)
+
+POWER_TAGS = ("power:1", "power:1.5", "power:2", "power:3", "power:2:0.25")
+MN = make_non_delta2()
+
+
+def reference_norm(M, values) -> float:
+    """inf{rho : sigma(x/rho) <= 1} by scalar bisection to adjacent floats."""
+    a = np.abs(np.asarray(values, dtype=float))
+    a = a[a > 0.0]
+    if a.size == 0:
+        return 0.0
+
+    def sigma(rho: float) -> float:
+        return float(np.sum(np.asarray(M.eval(a / rho), dtype=float)))
+
+    lo = hi = float(a.max()) / M.t_bar
+    while sigma(hi) > 1.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if sigma(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def newton_only(M):
+    """The same function without its closed form: the kernel runs Newton."""
+    return dataclasses.replace(M, power=None)
+
+
+def bisection_only(M):
+    """The same function without closed form or derivative: the kernel bisects."""
+    return dataclasses.replace(M, power=None, deriv1=None)
+
+
+def rel_err(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+magnitudes = st.floats(min_value=1e-3, max_value=1e3)
+signed = st.tuples(magnitudes, st.sampled_from((-1.0, 1.0))).map(lambda p: p[0] * p[1])
+rows_1d = st.lists(st.one_of(signed, st.just(0.0)), min_size=1, max_size=12).filter(
+    lambda v: any(x != 0.0 for x in v)
+)
+
+
+def test_power_families_carry_their_exponent():
+    assert parse_family("power:1.5").power == (1.5, 1.0)
+    assert parse_family("power:2:0.25").power == (2.0, 0.25)
+    assert MN.power is None
+
+
+@pytest.mark.parametrize("tag", POWER_TAGS)
+@given(values=rows_1d)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_newton_and_reference_agree(tag, values):
+    M = parse_family(tag)
+    row = np.array(values)
+    ref = reference_norm(M, row)
+    closed = luxemburg_norm_dense(M, row)[0]
+    newton = luxemburg_norm_dense(newton_only(M), row)[0]
+    bisect = luxemburg_norm_dense(bisection_only(M), row)[0]
+    for got in (closed, newton, bisect):
+        assert rel_err(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("tag", POWER_TAGS)
+def test_closed_form_is_one_modular_pass(tag):
+    calls = []
+
+    def counting(t):
+        calls.append(np.size(t))
+        return M.eval(t)
+
+    M = parse_family(tag)
+    Mc = dataclasses.replace(M, eval=counting, deriv1=None)
+    rows = np.random.default_rng(3).standard_normal((50, 4))
+    luxemburg_norm_dense(Mc, rows)
+    assert calls == [rows.size]
+
+
+near_underflow = st.lists(
+    st.one_of(
+        st.floats(min_value=5e-4, max_value=2e-3),
+        st.floats(min_value=5e-301, max_value=2e-300),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(values=near_underflow)
+@settings(max_examples=60, deadline=None)
+def test_non_delta2_near_underflow(values):
+    row = np.array(values)
+    ref = reference_norm(MN, row)
+    assert ref > 0.0
+    newton = luxemburg_norm_dense(MN, row)[0]
+    assert rel_err(newton, ref) <= 1e-12
+    seq = SparseSequence.from_pairs(enumerate(values, start=1))
+    assert rel_err(luxemburg_norm(MN, seq), ref) <= 1e-12
+
+
+@pytest.mark.parametrize("tag", POWER_TAGS + ("non-delta2",))
+@pytest.mark.parametrize("scale", (1e-200, 1e150))
+def test_extreme_magnitudes_stay_finite_and_homogeneous(tag, scale):
+    M = parse_family(tag)
+    base = np.array([[1.0, -0.5, 0.25, 0.0, 2.0], [0.0, 0.0, 3.0, 0.0, 0.0]])
+    unit = luxemburg_norm_dense(M, base)
+    big = luxemburg_norm_dense(M, scale * base)
+    assert np.isfinite(big).all() and (big > 0.0).all()
+    np.testing.assert_allclose(big, scale * unit, rtol=1e-12)
+    seq = SparseSequence.from_pairs([(1, scale), (2, -0.5 * scale)])
+    n = luxemburg_norm(M, seq)
+    assert np.isfinite(n) and n > 0.0
+    assert rel_err(n, scale * luxemburg_norm(M, seq.scale(1.0 / scale))) <= 1e-12
+
+
+@pytest.mark.parametrize("tag", ("power:1.5", "non-delta2"))
+def test_one_row_matches_the_same_row_in_a_large_block(tag):
+    M = parse_family(tag)
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((5000, 7)) * rng.uniform(0.01, 10.0, size=(5000, 1))
+    block[rng.random(block.shape) < 0.3] = 0.0
+    block[17] = 0.0
+    norms = luxemburg_norm_dense(M, block)
+    assert norms[17] == 0.0
+    for i in (0, 1, 999, 1023, 1024, 2500, 4999):
+        assert luxemburg_norm_dense(M, block[i])[0] == norms[i]
+        seq = SparseSequence.from_pairs(enumerate(block[i].tolist(), start=1))
+        assert rel_err(luxemburg_norm(M, seq), norms[i]) <= 1e-12
+
+
+@pytest.mark.parametrize("tag", POWER_TAGS + ("non-delta2",))
+def test_scalar_norm_honours_a_loose_tol(tag):
+    M = parse_family(tag)
+    x = SparseSequence.from_pairs([(1, 0.3), (4, -1.7), (9, 0.02), (12, 0.9)])
+    ref = reference_norm(M, x.values())
+    for variant in (M, newton_only(M), bisection_only(M)):
+        assert rel_err(luxemburg_norm(variant, x, tol=1e-3), ref) <= 1e-3
+
+
+@pytest.mark.parametrize("tag", ("power:2", "non-delta2"))
+def test_missing_derivative_goes_through_bisection(tag, monkeypatch):
+    calls = []
+    real = space._bisect
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(space, "_bisect", spy)
+    M = bisection_only(parse_family(tag))
+    rows = np.random.default_rng(9).standard_normal((30, 5))
+    norms = luxemburg_norm_dense(M, rows)
+    assert calls == [30]
+    for row, n in zip(rows, norms):
+        assert rel_err(n, reference_norm(M, row)) <= 1e-12
+    luxemburg_norm(newton_only(parse_family(tag)), SparseSequence.from_pairs([(1, 1.0)]))
+    assert calls == [30]

@@ -104,6 +104,25 @@ def test_l1_probe_inconclusive_on_superlinear_family():
         probe_l1(M1, ONES, x_bar, (0.1, -0.1))
 
 
+def test_l1_probe_matches_per_coordinate_second_differences():
+    # The spike norm is computed once per scale; every quotient must still be
+    # the sup of second_difference over the probed coordinates.
+    M = make_non_delta2()
+    a = PerturbationWeights(head=(1.5, 0.5, 2.0), tail=1.0)
+    x_bar = SparseSequence.from_pairs([(1, 0.05), (3, -0.2)])
+    scales = (0.3, 0.05)
+    r = probe_l1(M, a, x_bar, scales, n_probe=8)
+    for t, q in zip(scales, r.quotients):
+        expected = max(
+            second_difference(
+                M, lambda y: g_eval(M, a, y), x_bar,
+                SparseSequence.from_pairs([(n, t)]), p=1.0, convex=True,
+            )
+            for n in range(1, 9)
+        )
+        assert q == expected
+
+
 def test_l1_probe_respects_n_probe():
     r = probe_l1(M1, ONES, SparseSequence(), (0.1,), n_probe=3)
     assert "1..3" in r.notes

@@ -20,6 +20,7 @@ from orlicz import (
     sublevel_sample,
     wpmc_diagnose,
 )
+from orlicz.wellposed import _diam_estimate
 
 M1 = make_power(1)
 M2 = make_power(2)
@@ -143,6 +144,15 @@ def test_wpmc_flat_plateaus_resist_localization():
     )
     rep = wpmc_diagnose(MN, modular_objective(MN, radius=1.0), 1.0, LEVELS, sampler)
     assert rep.verdict == "looks-not-wpmc"
+
+
+def test_diam_estimate_subsample_keeps_the_end_of_the_list():
+    # Samplers append their special points last; with 300 points and a cap
+    # of 200 the farthest pair is (first, last) and both must be compared.
+    pts = [SparseSequence.from_pairs([(1, 0.001 * (i + 1))]) for i in range(299)]
+    pts.append(SparseSequence.from_pairs([(1, 5.0)]))
+    assert _diam_estimate(pts, M2) == pytest.approx(5.0 - 0.001, rel=1e-12)
+    assert _diam_estimate(pts[:150], M2) == pytest.approx(0.149, rel=1e-12)
 
 
 def test_wpmc_level_validation():
