@@ -5,7 +5,8 @@ fields, and ORLICZ_SEED overrides the seed last of all.  Every command is
 deterministic given its effective config: reports are JSON trees with
 sorted keys, CSV exports carry a schema header, and outputs embed the
 effective config for provenance.  Exit codes: 0 success, 1 not converged
-or inconclusive, 2 invalid input.
+or inconclusive, 2 invalid input, exhausted memory or a floating-point
+failure.
 """
 
 from __future__ import annotations
@@ -384,6 +385,12 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](cfg)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: floating-point failure: {exc}", file=sys.stderr)
         return 2
     except OrliczError as exc:
         print(f"failed: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ weights stay strictly below the requested total.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,7 +29,7 @@ from .space import (
     phi_bound,
     project_tail,
 )
-from .weights import PerturbationWeights, g_eval, g_eval_dense
+from .weights import PerturbationWeights, g_eval
 
 __all__ = [
     "Objective",
@@ -41,7 +42,14 @@ __all__ = [
     "supporting_functional",
 ]
 
-_CHUNK_ROWS = 2_000_000
+# Rows per chunk of the streamed sweep, which bounds its temporaries.
+_CHUNK_ROWS = 1 << 18
+# Largest grid an oracle accepts, checked before anything is allocated;
+# criterion 07's grid has 201^3 = 8,120,601 points.
+_MAX_POINTS = 1 << 24
+# Largest grid the per-row scalar fallback of evaluate walks: one
+# sequence_at plus one scalar objective call per point.
+_MAX_SCALAR_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -50,12 +58,12 @@ class Objective:
 
     eval maps a sparse sequence to a float, +inf allowed outside the
     effective domain, NaN never.  eval_dense, when provided, evaluates a
-    dense (n, d) block whose columns live on the given coordinate indices;
-    the engine falls back to row-by-row eval otherwise.  lower_bound is a
-    witness that the objective is bounded below; probe_points witness
-    properness.  coercive and parallel_safe are caller assertions (the
-    engine treats the objective as non-coercive, and evaluates serially,
-    unless told otherwise).
+    dense (n, d) block whose columns live on the given coordinate indices.
+    The engine evaluates f over its grid once per solve, through eval_dense
+    in streamed chunks, or through eval point by point on grids of at most
+    100,000 points.  lower_bound is a witness that the objective is bounded
+    below; probe_points witness properness.  coercive is a caller assertion
+    (the engine treats the objective as non-coercive unless told otherwise).
     """
 
     eval: Callable[[SparseSequence], float]
@@ -64,7 +72,6 @@ class Objective:
     eval_dense: Optional[Callable] = None
     probe_points: tuple[SparseSequence, ...] = field(default=(SparseSequence(),))
     coercive: bool = False
-    parallel_safe: bool = False
 
     def assert_proper(self) -> None:
         for p in self.probe_points:
@@ -79,9 +86,12 @@ class Objective:
 class GridOracle:
     """Exhaustive search over a box grid on the leading coordinates.
 
-    Exact on its own grid, so it meets any accuracy request; the pluggable
-    contract is the trio grid()/sequence_at()/describe() plus evaluate(),
-    which any replacement candidate enumerator can also provide.
+    The grid is the product of one axis of 2n+1 values per coordinate,
+    flattened in C order (meshgrid "ij"), so flat index k maps to a row
+    through np.unravel_index.  Exact on its own grid, so it meets any
+    accuracy request.  evaluate() streams the grid in flat-index chunks and
+    weighted_modular() builds g_a from per-axis vectors; neither holds the
+    whole (points, d) array, which grid() builds only on request.
     """
 
     def __init__(self, indices: tuple[int, ...] = (1, 2, 3), step: float = 0.05, radius: float = 1.0):
@@ -89,45 +99,66 @@ class GridOracle:
             raise DomainError("grid oracle supports 1..8 coordinates")
         if len(set(indices)) != len(indices) or any(i < 1 for i in indices):
             raise DomainError(f"grid indices must be distinct and >= 1, got {indices}")
-        if step <= 0.0 or radius <= 0.0 or step > radius:
-            raise DomainError("need 0 < step <= radius")
+        if not (0.0 < step <= radius < math.inf):
+            raise DomainError("need 0 < step <= radius < inf")
         self.indices = tuple(int(i) for i in indices)
         self.step = float(step)
         self.radius = float(radius)
-        self._grid: np.ndarray | None = None
+        n = int(math.floor(self.radius / self.step + 1e-9))
+        side = 2 * n + 1
+        self.points = side ** len(self.indices)
+        if self.points > _MAX_POINTS:
+            raise DomainError(
+                f"grid of {side}^{len(self.indices)} = {self.points:.3g} points "
+                f"exceeds the cap of {_MAX_POINTS:,}; raise the step or use fewer coordinates"
+            )
+        self.axis = np.arange(-n, n + 1, dtype=float) * self.step
+        self._shape = (side,) * len(self.indices)
+
+    def rows_at(self, flat: np.ndarray) -> np.ndarray:
+        """Grid rows at the given flat indices, one column per coordinate."""
+        return self.axis[np.stack(np.unravel_index(flat, self._shape), axis=-1)]
 
     def grid(self) -> np.ndarray:
-        if self._grid is None:
-            n = int(math.floor(self.radius / self.step + 1e-9))
-            axis = np.arange(-n, n + 1, dtype=float) * self.step
-            mesh = np.meshgrid(*([axis] * len(self.indices)), indexing="ij")
-            self._grid = np.stack(mesh, axis=-1).reshape(-1, len(self.indices))
-        return self._grid
+        """The whole (points, d) grid, built on request."""
+        return self.rows_at(np.arange(self.points))
 
     def sequence_at(self, row: int) -> SparseSequence:
-        values = self.grid()[row]
+        values = self.axis[list(np.unravel_index(row, self._shape))]
         return SparseSequence.from_pairs(
             (idx, v) for idx, v in zip(self.indices, values) if v != 0.0
         )
 
     def evaluate(self, scalar_fn: Callable, dense_fn: Optional[Callable] = None) -> np.ndarray:
-        """Values over the whole grid, chunked to bound peak memory."""
-        pts = self.grid()
-        if dense_fn is not None:
-            parts = [
-                np.asarray(dense_fn(pts[i : i + _CHUNK_ROWS], self.indices), dtype=float)
-                for i in range(0, len(pts), _CHUNK_ROWS)
-            ]
-            return np.concatenate(parts) if len(parts) > 1 else parts[0]
-        out = np.empty(len(pts), dtype=float)
-        for i in range(len(pts)):
-            out[i] = scalar_fn(self.sequence_at(i))
-        return out
+        """Values over the whole grid, streamed in flat-index chunks."""
+        if dense_fn is None:
+            if self.points > _MAX_SCALAR_POINTS:
+                raise DomainError(
+                    f"objective has no dense evaluator; the per-point fallback is "
+                    f"capped at {_MAX_SCALAR_POINTS:,} grid points, this grid has {self.points:,}"
+                )
+            return np.array([scalar_fn(self.sequence_at(i)) for i in range(self.points)], dtype=float)
+        parts = []
+        for start in range(0, self.points, _CHUNK_ROWS):
+            rows = self.rows_at(np.arange(start, min(start + _CHUNK_ROWS, self.points)))
+            parts.append(np.asarray(dense_fn(rows, self.indices), dtype=float))
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+    def weighted_modular(self, M: OrliczFunction, a: PerturbationWeights) -> np.ndarray:
+        """g_a at every grid point, in flat order.
+
+        g_a is separable: the sum over coordinates j of a_{i_j} M(|axis|),
+        so M runs once on the axis and the d weighted vectors are
+        outer-added in the grid's C order.
+        """
+        m_axis = np.asarray(M.eval(np.abs(self.axis)), dtype=float)
+        parts = [a.weight_at(i) * m_axis for i in self.indices]
+        return functools.reduce(np.add.outer, parts).ravel()
 
     def describe(self) -> str:
         return (
             f"grid(indices={list(self.indices)}, step={self.step:g}, "
-            f"radius={self.radius:g}, points={len(self.grid())})"
+            f"radius={self.radius:g}, points={self.points})"
         )
 
 
@@ -237,21 +268,18 @@ def _total_values(
     f: Objective,
     weights: PerturbationWeights,
     oracle: GridOracle,
+    base: np.ndarray,
 ) -> np.ndarray:
-    def scalar(x: SparseSequence) -> float:
-        return float(f.eval(x)) + g_eval(M, weights, x)
-
-    def dense(rows: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
-        base = np.asarray(f.eval_dense(rows, indices), dtype=float)
-        return base + g_eval_dense(M, weights, rows, indices)
-
-    vals = oracle.evaluate(scalar, dense if f.eval_dense is not None else None)
+    """f + g_a over the grid, from f's values computed once per solve."""
+    vals = oracle.weighted_modular(M, weights)
+    vals += base
     if np.isnan(vals).any():
         raise OrliczError("objective returned NaN on the grid")
-    finite = vals[np.isfinite(vals)]
-    if finite.size == 0:
+    finite = np.isfinite(vals)
+    if not finite.any():
         raise NotProperError("objective is +inf on the whole grid")
-    if finite.min() < f.lower_bound - 1e-9 * (1.0 + abs(f.lower_bound)):
+    lowest = np.min(vals, where=finite, initial=math.inf)
+    if lowest < f.lower_bound - 1e-9 * (1.0 + abs(f.lower_bound)):
         raise OrliczError(
             f"objective dipped below its declared lower bound {f.lower_bound}"
         )
@@ -270,9 +298,9 @@ def _tail_proxy(
     tail_cols = [j for j, idx in enumerate(oracle.indices) if idx > head_len]
     if not tail_cols:
         return 0.0
-    vmin = float(np.min(vals[np.isfinite(vals)]))
-    rows = np.nonzero(vals <= vmin + level)[0][:cap]
-    block = oracle.grid()[rows][:, tail_cols]
+    vmin = float(np.min(vals, where=np.isfinite(vals), initial=math.inf))
+    rows = np.flatnonzero(vals <= vmin + level)[:cap]
+    block = oracle.rows_at(rows)[:, tail_cols]
     norms = luxemburg_norm_dense(M, block)
     return float(norms.max()) if norms.size else 0.0
 
@@ -303,10 +331,12 @@ def perturb_minimize(
     if not math.isfinite(f.domain_radius) or f.domain_radius <= 0.0:
         raise DomainError("objective needs a positive finite domain_radius")
     f.assert_proper()
+    # f does not change between rounds; only g_a does.
+    base = oracle.evaluate(f.eval, f.eval_dense)
 
     theta0 = 0.0 if f.coercive else eps / 4.0
     weights = PerturbationWeights(head=(), tail=theta0)
-    vals = _total_values(M, f, weights, oracle)
+    vals = _total_values(M, f, weights, oracle, base)
     x_cur = oracle.sequence_at(int(np.argmin(vals)))
 
     converged = False
@@ -318,7 +348,7 @@ def perturb_minimize(
         K_eff = max(f.domain_radius, luxemburg_norm(M, x_cur))
         a_n, delta_n = construct_local_perturbation(M, x_cur, K_eff, eps_n)
         weights = weights + a_n
-        vals = _total_values(M, f, weights, oracle)
+        vals = _total_values(M, f, weights, oracle, base)
         x_next = oracle.sequence_at(int(np.argmin(vals)))
         moved = luxemburg_norm(M, x_next - x_cur)
         proxy = _tail_proxy(M, oracle, vals, delta_n, len(weights.head))
@@ -389,7 +419,6 @@ def support_from_below(
         eval_dense=shifted_dense,
         probe_points=f.probe_points,
         coercive=True,
-        parallel_safe=f.parallel_safe,
     )
     inner = perturb_minimize(
         M, f1, eps_hi - delta_lo, oracle, budget=budget,

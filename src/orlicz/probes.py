@@ -94,16 +94,19 @@ def second_difference(
         raise DomainError("probe direction h must be nonzero")
     if p <= 0.0:
         raise DomainError(f"exponent p must be > 0, got {p}")
-    return _second_difference_numerator(f, x, h, convex) / luxemburg_norm(M, h) ** p
+    num = _second_difference_numerator(f, x, h, float(f(x)), convex)
+    return num / luxemburg_norm(M, h) ** p
 
 
 def _second_difference_numerator(
     f: Callable[[SparseSequence], float],
     x: SparseSequence,
     h: SparseSequence,
+    fx: float,
     convex: bool,
 ) -> float:
-    values = [float(f(x + h)), float(f(x - h)), float(f(x))]
+    """f(x+h) + f(x-h) - 2 f(x), given fx = f(x)."""
+    values = [float(f(x + h)), float(f(x - h)), fx]
     if any(not math.isfinite(v) for v in values):
         raise DomainError("probe left the effective domain of f")
     num = values[0] + values[1] - 2.0 * values[2]
@@ -143,13 +146,14 @@ def probe_l1(
     def g(y: SparseSequence) -> float:
         return g_eval(M, a, y)
 
+    g_bar = g(x_bar)
     quotients = []
     for t in scales:
         # ||t e_n|| does not depend on n: one norm per scale.
         spike_norm = luxemburg_norm(M, _spike(1, t))
         best = max(
             (
-                _second_difference_numerator(g, x_bar, _spike(n, t), convex=True)
+                _second_difference_numerator(g, x_bar, _spike(n, t), g_bar, convex=True)
                 for n in range(1, n_probe + 1)
             ),
             default=-math.inf,

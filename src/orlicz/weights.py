@@ -99,10 +99,10 @@ class PerturbationWeights:
 
 def g_eval(M: OrliczFunction, a: PerturbationWeights, x: SparseSequence) -> float:
     """g_a(x) = sum over the support of a_n M(|x_n|)."""
-    total = 0.0
-    for idx, val in x.entries:
-        total += a.weight_at(idx) * float(M.eval(abs(val)))
-    return total
+    if not x.entries:
+        return 0.0
+    m = np.asarray(M.eval(np.abs(np.array(x.entries, dtype=float)[:, 1])), dtype=float)
+    return sum(a.weight_at(idx) * v for (idx, _), v in zip(x.entries, m.tolist()))
 
 
 def g_eval_dense(

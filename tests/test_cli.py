@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
 from orlicz import DomainError
+from orlicz import cli
 from orlicz.cli import CSV_SCHEMA, ExperimentConfig, main
 
 
@@ -234,3 +236,27 @@ def test_invalid_inputs_exit_2(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, ["norm", "--sequence", "1:1,1:2"])
     assert rc == 2
+
+
+def test_oversized_grid_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        rc, _, err = run(capsys, ["solve", "--grid-dims", "8", "--grid-step", "0.01"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert err.startswith("error: grid of 201^8") and err.count("\n") == 1
+    assert peak < 1 << 20  # 201^8 rows would be about 2e19 bytes
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 64 GiB"), FloatingPointError("overflow")])
+def test_resource_and_float_errors_exit_2(capsys, monkeypatch, exc):
+    def boom(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "norm", boom)
+    rc, out, err = run(capsys, ["norm", "--sequence", "1:1"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(exc) in err and err.count("\n") == 1
