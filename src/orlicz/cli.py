@@ -45,58 +45,49 @@ __all__ = ["ExperimentConfig", "main"]
 CSV_SCHEMA = "#schema=1"
 
 
+def _flag(default, help_text: str):
+    """A config field whose default also fixes its flag's type."""
+    return dataclasses.field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class ExperimentConfig:
-    """Flat run configuration; every command reads the fields it needs."""
+    """Flat run configuration; every command reads the fields it needs, and
+    every field is also a command-line flag of every subcommand."""
 
-    family: str = "power:2"
-    seed: int = 12345
-    sequence: str = ""
-    objective: str = "modular"
-    radius: float = 1.0
-    eps: float = 0.1
-    delta_lo: float = 1.0
-    eps_hi: float = 2.0
-    budget: int = 50
-    norm_tol: float = 1e-12
-    grid_dims: int = 3
-    grid_step: float = 0.05
-    grid_radius: float = 1.0
-    levels: str = ""
-    scales: str = "1e-2,1e-3,1e-4,1e-5,1e-6"
-    probe: str = "l1"
-    k: int = 10
-    k_max: int = 5
-    samples: int = 400
-    support_size: int = 6
-    index_range: int = 40
-    decades: float = 4.0
-    max_centers: int = 8
-    out: str = ""
-    csv_out: str = ""
+    family: str = _flag("power:2", "function family, e.g. power:1.5 or non-delta2")
+    seed: int = _flag(12345, "sampler seed (ORLICZ_SEED overrides)")
+    sequence: str = _flag("", "sparse sequence literal i1:v1,i2:v2")
+    objective: str = _flag("modular", "objective literal, e.g. modular or sqdist:1:0.3")
+    radius: float = _flag(1.0, "working ball radius K")
+    eps: float = _flag(0.1, "perturbation budget")
+    delta_lo: float = _flag(1.0, "support floor")
+    eps_hi: float = _flag(2.0, "support ceiling")
+    budget: int = _flag(50, "iteration budget")
+    norm_tol: float = _flag(1e-12, "relative tolerance of the norm solver")
+    grid_dims: int = _flag(3, "number of leading grid coordinates")
+    grid_step: float = _flag(0.05, "grid spacing")
+    grid_radius: float = _flag(1.0, "grid half-width")
+    levels: str = _flag("", "comma list of sublevel heights")
+    scales: str = _flag("1e-2,1e-3,1e-4,1e-5,1e-6", "comma list of probe scales")
+    probe: str = _flag("l1", "probe spec: l1, growth:p, curvature[:mode]")
+    k: int = _flag(10, "witness index")
+    k_max: int = _flag(5, "growth-probe bound count")
+    samples: int = _flag(400, "sampler draw count")
+    support_size: int = _flag(6, "sampler support size")
+    index_range: int = _flag(40, "sampler index range")
+    decades: float = _flag(4.0, "sampler radial decades")
+    max_centers: int = _flag(8, "covering centers for the compactness proxy")
+    out: str = _flag("", "JSON output path (default stdout)")
+    csv_out: str = _flag("", "CSV export path")
 
     def validate(self) -> None:
-        positive = {
-            "radius": self.radius,
-            "eps": self.eps,
-            "delta_lo": self.delta_lo,
-            "eps_hi": self.eps_hi,
-            "norm_tol": self.norm_tol,
-            "grid_step": self.grid_step,
-            "grid_radius": self.grid_radius,
-            "decades": self.decades,
-        }
-        for name, value in positive.items():
-            if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"config field {name} must be positive, got {value}")
-        for name, value in {
-            "budget": self.budget, "k": self.k, "k_max": self.k_max,
-            "samples": self.samples, "support_size": self.support_size,
-            "index_range": self.index_range, "max_centers": self.max_centers,
-            "grid_dims": self.grid_dims,
-        }.items():
-            if value < 1:
-                raise DomainError(f"config field {name} must be >= 1, got {value}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(field.default, float) and not (value > 0.0 and math.isfinite(value)):
+                raise DomainError(f"config field {field.name} must be positive, got {value}")
+            if isinstance(field.default, int) and field.name != "seed" and value < 1:
+                raise DomainError(f"config field {field.name} must be >= 1, got {value}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -339,40 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Orlicz-space experiments: norms, perturbations, diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    flags: list[tuple[str, type, str]] = [
-        ("family", str, "function family, e.g. power:1.5 or non-delta2"),
-        ("seed", int, "sampler seed (ORLICZ_SEED overrides)"),
-        ("sequence", str, "sparse sequence literal i1:v1,i2:v2"),
-        ("objective", str, "objective literal, e.g. modular or sqdist:1:0.3"),
-        ("radius", float, "working ball radius K"),
-        ("eps", float, "perturbation budget"),
-        ("delta_lo", float, "support floor"),
-        ("eps_hi", float, "support ceiling"),
-        ("budget", int, "iteration budget"),
-        ("norm_tol", float, "relative tolerance of the norm solver"),
-        ("grid_dims", int, "number of leading grid coordinates"),
-        ("grid_step", float, "grid spacing"),
-        ("grid_radius", float, "grid half-width"),
-        ("levels", str, "comma list of sublevel heights"),
-        ("scales", str, "comma list of probe scales"),
-        ("probe", str, "probe spec: l1, growth:p, curvature[:mode]"),
-        ("k", int, "witness index"),
-        ("k_max", int, "growth-probe bound count"),
-        ("samples", int, "sampler draw count"),
-        ("support_size", int, "sampler support size"),
-        ("index_range", int, "sampler index range"),
-        ("decades", float, "sampler radial decades"),
-        ("max_centers", int, "covering centers for the compactness proxy"),
-        ("out", str, "JSON output path (default stdout)"),
-        ("csv_out", str, "CSV export path"),
-    ]
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="JSON config file")
-        for field, ftype, help_text in flags:
+        for field in dataclasses.fields(ExperimentConfig):
             cmd.add_argument(
-                f"--{field.replace('_', '-')}",
-                dest=field, type=ftype, default=None, help=help_text,
+                f"--{field.name.replace('_', '-')}", dest=field.name,
+                type=type(field.default), default=None, help=field.metadata["help"],
             )
     return parser
 

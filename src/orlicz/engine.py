@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NotProperError, OrliczError
 from .functions import OrliczFunction
-from .sequences import SparseSequence
+from .sequences import SparseSequence, to_jsonable
 from .space import (
     luxemburg_norm,
     luxemburg_norm_dense,
@@ -124,10 +124,7 @@ class GridOracle:
         return self.rows_at(np.arange(self.points))
 
     def sequence_at(self, row: int) -> SparseSequence:
-        values = self.axis[list(np.unravel_index(row, self._shape))]
-        return SparseSequence.from_pairs(
-            (idx, v) for idx, v in zip(self.indices, values) if v != 0.0
-        )
+        return SparseSequence.from_pairs(zip(self.indices, self.rows_at(row)))
 
     def evaluate(self, scalar_fn: Callable, dense_fn: Optional[Callable] = None) -> np.ndarray:
         """Values over the whole grid, streamed in flat-index chunks."""
@@ -138,11 +135,16 @@ class GridOracle:
                     f"capped at {_MAX_SCALAR_POINTS:,} grid points, this grid has {self.points:,}"
                 )
             return np.array([scalar_fn(self.sequence_at(i)) for i in range(self.points)], dtype=float)
-        parts = []
+        out = np.empty(self.points, dtype=float)
         for start in range(0, self.points, _CHUNK_ROWS):
-            rows = self.rows_at(np.arange(start, min(start + _CHUNK_ROWS, self.points)))
-            parts.append(np.asarray(dense_fn(rows, self.indices), dtype=float))
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+            stop = min(start + _CHUNK_ROWS, self.points)
+            vals = np.asarray(dense_fn(self.rows_at(np.arange(start, stop)), self.indices), dtype=float)
+            if vals.shape != (stop - start,):
+                raise OrliczError(
+                    f"dense evaluator returned shape {vals.shape} for {stop - start} grid rows"
+                )
+            out[start:stop] = vals
+        return out
 
     def weighted_modular(self, M: OrliczFunction, a: PerturbationWeights) -> np.ndarray:
         """g_a at every grid point, in flat order.
@@ -177,19 +179,7 @@ class SolveReport:
     certificate_resolution: str
 
     def to_dict(self) -> dict:
-        from .sequences import format_sequence
-
-        return {
-            "weights": self.weights.to_dict(),
-            "minimizer": format_sequence(self.minimizer),
-            "min_value": self.min_value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_tail_index": self.final_tail_index,
-            "compactness_proxy": self.compactness_proxy,
-            "certificate_accuracy": self.certificate_accuracy,
-            "certificate_resolution": self.certificate_resolution,
-        }
+        return to_jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -202,14 +192,7 @@ class SupportReport:
     inner: SolveReport
 
     def to_dict(self) -> dict:
-        from .sequences import format_sequence
-
-        return {
-            "weights": self.weights.to_dict(),
-            "minimizer": format_sequence(self.minimizer),
-            "supported_value": self.supported_value,
-            "inner": self.inner.to_dict(),
-        }
+        return to_jsonable(self)
 
 
 def construct_local_perturbation(
@@ -348,6 +331,7 @@ def perturb_minimize(
         K_eff = max(f.domain_radius, luxemburg_norm(M, x_cur))
         a_n, delta_n = construct_local_perturbation(M, x_cur, K_eff, eps_n)
         weights = weights + a_n
+        del vals  # release the previous totals before building the next
         vals = _total_values(M, f, weights, oracle, base)
         x_next = oracle.sequence_at(int(np.argmin(vals)))
         moved = luxemburg_norm(M, x_next - x_cur)

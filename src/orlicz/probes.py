@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .errors import DomainError, OrliczError
 from .functions import OrliczFunction, estimate_delta2_constant
-from .sequences import SparseSequence
+from .sequences import SparseSequence, to_jsonable
 from .space import luxemburg_norm
 from .weights import PerturbationWeights, g_eval
 
@@ -51,14 +51,7 @@ class ProbeReport:
             raise DomainError("quotients must be finite")
 
     def to_dict(self) -> dict:
-        return {
-            "probe_name": self.probe_name,
-            "scales": list(self.scales),
-            "quotients": list(self.quotients),
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
+        return to_jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -71,14 +64,7 @@ class SpaceClassification:
     notes: str
 
     def to_dict(self) -> dict:
-        return {
-            "family_tag": self.family_tag,
-            "delta2_ok": self.delta2_ok,
-            "delta2_constant": self.delta2_constant,
-            "excluded": list(self.excluded),
-            "evidence": [r.to_dict() for r in self.evidence],
-            "notes": self.notes,
-        }
+        return to_jsonable(self)
 
 
 def second_difference(

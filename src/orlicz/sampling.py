@@ -2,7 +2,8 @@
 
 Each draw recreates its generator from the stored seed, so repeated calls
 return identical points and the sampler can be shared between diagnostics
-without order effects.
+without order effects.  dense_points yields the dense block the diagnostics
+work on; points() is the same draw as sparse sequences.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import GridOracle
 from .errors import DomainError
 from .functions import OrliczFunction
 from .sequences import SparseSequence
@@ -21,14 +23,12 @@ __all__ = ["BallSampler", "GridSampler", "dense_to_sequences"]
 
 def dense_to_sequences(rows: np.ndarray, indices: tuple[int, ...]) -> list[SparseSequence]:
     """Map dense rows over the given coordinate indices to sparse form."""
-    out = []
-    for row in np.asarray(rows, dtype=float):
-        out.append(
-            SparseSequence.from_pairs(
-                (idx, v) for idx, v in zip(indices, row) if v != 0.0
-            )
-        )
-    return out
+    order = sorted(range(len(indices)), key=lambda j: indices[j])
+    keys = [int(indices[j]) for j in order]
+    return [
+        SparseSequence(tuple((i, v) for i, v in zip(keys, row) if v != 0.0))
+        for row in np.asarray(rows, dtype=float)[:, order].tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ class BallSampler:
             )
 
     def dense_points(self, M: OrliczFunction, radius: float) -> tuple[np.ndarray, tuple[int, ...]]:
-        """(rows, indices): dense coordinates over 1..index_range."""
+        """(rows, indices): the random rows, then the zero row, then the extra
+        points, as dense coordinates over 1..width, width the largest index."""
         if radius <= 0.0:
             raise DomainError(f"radius must be > 0, got {radius}")
         rng = np.random.default_rng(self.seed)
@@ -72,15 +73,15 @@ class BallSampler:
         norms[norms == 0.0] = 1.0
         radii = radius * 10.0 ** (-self.decades * rng.uniform(size=self.count))
         rows *= (radii / norms)[:, None]
-        return rows, tuple(range(1, self.index_range + 1))
+        width = max([self.index_range] + [x.max_index for x in self.extra])
+        block = np.zeros((self.count + self.include_zero + len(self.extra), width), dtype=float)
+        block[: self.count, : self.index_range] = rows
+        for i, x in enumerate(self.extra, start=len(block) - len(self.extra)):
+            block[i] = x.to_dense(width)
+        return block, tuple(range(1, width + 1))
 
     def points(self, M: OrliczFunction, radius: float) -> list[SparseSequence]:
-        rows, indices = self.dense_points(M, radius)
-        pts = dense_to_sequences(rows, indices)
-        if self.include_zero:
-            pts.append(SparseSequence())
-        pts.extend(self.extra)
-        return pts
+        return dense_to_sequences(*self.dense_points(M, radius))
 
     def describe(self) -> str:
         return (
@@ -93,28 +94,22 @@ class BallSampler:
 
 @dataclass(frozen=True)
 class GridSampler:
-    """All points of a box grid over the leading coordinates."""
+    """All points of a box grid over the leading coordinates: the grid of a
+    GridOracle, which validates the box and caps its point count."""
 
     indices: tuple[int, ...] = (1, 2)
     step: float = 0.1
     radius: float = 1.0
+    oracle: GridOracle = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.radius <= 0.0:
-            raise DomainError("grid step and radius must be > 0")
-        if len(self.indices) > 8 or not self.indices:
-            raise DomainError("grid sampler supports 1..8 coordinates")
+        object.__setattr__(self, "oracle", GridOracle(self.indices, self.step, self.radius))
 
     def dense_points(self, M: OrliczFunction, radius: float | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
-        n = int(np.floor(self.radius / self.step + 1e-9))
-        axis = np.arange(-n, n + 1, dtype=float) * self.step
-        mesh = np.meshgrid(*([axis] * len(self.indices)), indexing="ij")
-        rows = np.stack(mesh, axis=-1).reshape(-1, len(self.indices))
-        return rows, self.indices
+        return self.oracle.grid(), self.oracle.indices
 
     def points(self, M: OrliczFunction, radius: float | None = None) -> list[SparseSequence]:
-        rows, indices = self.dense_points(M, radius)
-        return dense_to_sequences(rows, indices)
+        return dense_to_sequences(*self.dense_points(M, radius))
 
     def describe(self) -> str:
         return (

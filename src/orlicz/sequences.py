@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["SparseSequence", "parse_sequence", "format_sequence"]
+__all__ = ["SparseSequence", "parse_sequence", "format_sequence", "to_jsonable"]
 
 
 @dataclass(frozen=True)
@@ -145,3 +146,15 @@ def parse_sequence(text: str) -> SparseSequence:
 def format_sequence(x: SparseSequence) -> str:
     """Inverse of parse_sequence (canonical order, repr-exact floats)."""
     return ",".join(f"{i}:{v!r}" for i, v in x.entries)
+
+
+def to_jsonable(obj: Any) -> Any:
+    """JSON-ready tree of a report: every dataclass becomes a dict of its
+    fields, SparseSequence its format_sequence text, tuples and lists lists."""
+    if isinstance(obj, SparseSequence):
+        return format_sequence(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [to_jsonable(v) for v in obj]
+    return obj

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .functions import OrliczFunction
-from .sequences import SparseSequence
+from .sequences import SparseSequence, to_jsonable
 from .space import nu_bound
 
 __all__ = ["PerturbationWeights", "g_eval", "g_eval_dense", "g_bounds"]
@@ -86,7 +86,7 @@ class PerturbationWeights:
         )
 
     def to_dict(self) -> dict:
-        return {"head": list(self.head), "tail": self.tail, "signed": self.signed}
+        return to_jsonable(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerturbationWeights":

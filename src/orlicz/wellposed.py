@@ -2,7 +2,9 @@
 
 Everything here is relative to a finite sample: infima, sublevel sets,
 covering radii.  The verdicts are desk-scale evidence, not proofs, and
-the reports say which sampler produced them.
+the reports say which sampler produced them.  Each diagnostic draws one
+dense block from its sampler, evaluates the objective on it once, and
+takes sublevel sets as row masks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 from .engine import Objective
 from .errors import DomainError, NotProperError, OrliczError
 from .functions import OrliczFunction
-from .sequences import SparseSequence
+from .sampling import dense_to_sequences
+from .sequences import SparseSequence, to_jsonable
 from .space import luxemburg_norm, luxemburg_norm_dense, modular
 
 __all__ = [
@@ -54,13 +57,7 @@ class WellPosednessReport:
     sampler_spec: str
 
     def to_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "alpha_estimates": list(self.alpha_estimates),
-            "diam_estimates": list(self.diam_estimates),
-            "verdict": self.verdict,
-            "sampler_spec": self.sampler_spec,
-        }
+        return to_jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -86,15 +83,39 @@ class WitnessStats:
     norm_x: float
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t_k": self.t_k,
-            "i_k": self.i_k,
-            "ratio": self.ratio,
-            "sigma_x": self.sigma_x,
-            "sigma_2x": self.sigma_2x,
-            "norm_x": self.norm_x,
-        }
+        return to_jsonable(self)
+
+
+def _draw(M: OrliczFunction, K: float, sampler, *objectives: Objective):
+    """One sampler draw as a block whose column j is coordinate j + 1, each
+    objective's values and infimum where all are finite, and the draw as
+    sparse sequences if a scalar-only objective needed them (else None)."""
+    rows, indices = sampler.dense_points(M, K)
+    block = np.zeros((len(rows), max(indices)), dtype=float)
+    block[:, np.asarray(indices) - 1] = rows
+    indices = tuple(range(1, block.shape[1] + 1))
+    seqs = None
+    values = []
+    for f in objectives:
+        if f.eval_dense is not None:
+            try:
+                values.append(np.asarray(f.eval_dense(block, indices), dtype=float))
+                continue
+            except DomainError:  # the block misses a coordinate f reads, e.g. sqdist's z
+                pass
+        if seqs is None:
+            seqs = dense_to_sequences(block, indices)
+        values.append(np.array([float(f.eval(p)) for p in seqs], dtype=float))
+    finite = np.logical_and.reduce([np.isfinite(v) for v in values])
+    if not finite.any():
+        raise NotProperError("no sampled point has a finite value")
+    return block, values, [float(v[finite].min()) for v in values], seqs
+
+
+def _trim(rows: np.ndarray) -> np.ndarray:
+    """rows cut after their last nonzero column (one at least), as _dense_block cuts."""
+    nonzero = np.flatnonzero(rows.any(axis=0))
+    return rows[:, : nonzero[-1] + 1 if nonzero.size else 1]
 
 
 def sublevel_sample(
@@ -107,15 +128,14 @@ def sublevel_sample(
     """Points of the sample within eps of the sampled infimum over K*B."""
     if eps < 0.0:
         raise DomainError(f"level eps must be >= 0, got {eps}")
-    pts = sampler.points(M, K)
-    values = [float(f.eval(p)) for p in pts]
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        raise NotProperError("no sampled point has a finite value")
-    inf_sample = min(finite)
-    chosen = tuple(p for p, v in zip(pts, values) if v <= inf_sample + eps)
+    block, (values,), (inf_sample,), seqs = _draw(M, K, sampler, f)
+    chosen = values <= inf_sample + eps
+    if seqs is None:
+        points = dense_to_sequences(block[chosen], range(1, block.shape[1] + 1))
+    else:
+        points = [p for p, keep in zip(seqs, chosen) if keep]
     return SublevelSample(
-        level=eps, points=chosen, inf_sample=inf_sample,
+        level=eps, points=tuple(points), inf_sample=inf_sample,
         sampler_spec=sampler.describe(),
     )
 
@@ -142,12 +162,16 @@ def kuratowski_estimate(
     pts = list(points)
     if not pts:
         raise DomainError("cannot estimate covering radius of an empty sample")
+    return _covering_radius(_dense_block(pts), M, max_centers)
+
+
+def _covering_radius(rows: np.ndarray, M: OrliczFunction, max_centers: int) -> float:
+    """kuratowski_estimate on a nonempty block whose column j is coordinate j + 1."""
     if max_centers < 1:
         raise DomainError(f"max_centers must be >= 1, got {max_centers}")
-    rows = _dense_block(pts)
     # dist[i] = distance from point i to its nearest chosen center
     dist = luxemburg_norm_dense(M, rows - rows[0])
-    for _ in range(1, min(max_centers, len(pts))):
+    for _ in range(1, min(max_centers, len(rows))):
         far = int(np.argmax(dist))  # argmax takes the first maximum: lowest index wins ties
         if dist[far] == 0.0:
             break
@@ -155,20 +179,16 @@ def kuratowski_estimate(
     return float(dist.max())
 
 
-def _diam_estimate(points, M: OrliczFunction, cap: int = 200) -> float:
-    pts = list(points)
-    if len(pts) < 2:
+def _diam_estimate(rows: np.ndarray, M: OrliczFunction, cap: int = 200) -> float:
+    """Largest pairwise distance among at most cap rows of the block."""
+    if len(rows) < 2:
         return 0.0
-    if len(pts) > cap:
-        # Evenly spaced over the whole list, first and last kept: samplers
+    if len(rows) > cap:
+        # Evenly spaced over the whole block, first and last kept: samplers
         # append their special points (zero, witnesses) at the end.
-        keep = np.rint(np.linspace(0, len(pts) - 1, cap)).astype(int)
-        pts = [pts[i] for i in keep]
-    rows = _dense_block(pts)
-    n = len(rows)
-    ii, jj = np.triu_indices(n, k=1)
-    dists = luxemburg_norm_dense(M, rows[ii] - rows[jj])
-    return float(dists.max()) if dists.size else 0.0
+        rows = _trim(rows[np.rint(np.linspace(0, len(rows) - 1, cap)).astype(int)])
+    ii, jj = np.triu_indices(len(rows), k=1)
+    return float(luxemburg_norm_dense(M, rows[ii] - rows[jj]).max())
 
 
 def intersection_lemma_check(
@@ -189,16 +209,9 @@ def intersection_lemma_check(
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be > 0, got {delta}")
-    pts = sampler.points(M, K)
-    fv = np.array([float(f.eval(p)) for p in pts])
-    gv = np.array([float(g.eval(p)) for p in pts])
+    _, (fv, gv), (inf_f, inf_g), _ = _draw(M, K, sampler, f, g)
     both = fv + gv
-    finite = np.isfinite(fv) & np.isfinite(gv)
-    if not finite.any():
-        raise NotProperError("no sampled point is finite for both objectives")
-    inf_f = fv[finite].min()
-    inf_g = gv[finite].min()
-    inf_fg = both[finite].min()
+    inf_fg = both[np.isfinite(fv) & np.isfinite(gv)].min()
     hypothesis = (fv <= inf_f + delta) & (gv <= inf_g + delta)
     if not hypothesis.any():
         return IntersectionCheck(holds=True, hypothesis_nonempty=False, checked=0)
@@ -237,18 +250,13 @@ def wpmc_diagnose(
     if any(a <= b for a, b in zip(levels, levels[1:])):
         raise DomainError("levels must be strictly decreasing")
 
-    pts = sampler.points(M, K)
-    values = [float(f.eval(p)) for p in pts]
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        raise NotProperError("no sampled point has a finite value")
-    inf_sample = min(finite)
+    block, (values,), (inf_sample,), _ = _draw(M, K, sampler, f)
 
     alphas = []
     diams = []
     for level in levels:
-        chosen = [p for p, v in zip(pts, values) if v <= inf_sample + level]
-        alphas.append(kuratowski_estimate(chosen, M, max_centers))
+        chosen = _trim(block[values <= inf_sample + level])
+        alphas.append(_covering_radius(chosen, M, max_centers))
         diams.append(_diam_estimate(chosen, M))
 
     def weakly_decreasing(seq) -> bool:

@@ -1,0 +1,248 @@
+"""The dense diagnostics against the per-point path they replace.
+
+The reference below is the earlier implementation, kept here: the sampler
+draw converted to sparse sequences (random points, then zero, then the
+extra points), f.eval called point by point, and every covering or
+diameter estimate built from the chosen sequences by `ref_block`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from orlicz import (
+    BallSampler,
+    GridSampler,
+    Objective,
+    SparseSequence,
+    intersection_lemma_check,
+    luxemburg_norm_dense,
+    make_non_delta2,
+    make_power,
+    modular,
+    non_delta2_witness,
+    parse_objective,
+    sublevel_sample,
+    wpmc_diagnose,
+)
+from orlicz.wellposed import (
+    VERDICT_INCONCLUSIVE,
+    VERDICT_NOT_WPMC,
+    VERDICT_WPMC,
+    IntersectionCheck,
+    SublevelSample,
+    WellPosednessReport,
+    _dense_block,
+    _diam_estimate,
+)
+
+SEEDS = range(20)
+LEVELS = (0.25, 0.015625)
+CENTERS = 2
+COUNT = 8
+
+
+def ref_points(sampler, M, radius):
+    rng = np.random.default_rng(sampler.seed)
+    rows = np.zeros((sampler.count, sampler.index_range))
+    for i in range(sampler.count):
+        support = rng.choice(sampler.index_range, size=sampler.support_size, replace=False)
+        rows[i, support] = rng.standard_normal(sampler.support_size)
+    norms = luxemburg_norm_dense(M, rows)
+    norms[norms == 0.0] = 1.0
+    radii = radius * 10.0 ** (-sampler.decades * rng.uniform(size=sampler.count))
+    rows *= (radii / norms)[:, None]
+    pts = [
+        SparseSequence.from_pairs((j + 1, v) for j, v in enumerate(row) if v != 0.0)
+        for row in rows
+    ]
+    if sampler.include_zero:
+        pts.append(SparseSequence())
+    pts.extend(sampler.extra)
+    return pts
+
+
+def ref_block(points):
+    span = max((p.max_index for p in points), default=0)
+    rows = np.zeros((len(points), max(span, 1)))
+    for i, p in enumerate(points):
+        for idx, val in p.entries:
+            rows[i, idx - 1] = val
+    return rows
+
+
+def ref_kuratowski(points, M, max_centers):
+    rows = ref_block(points)
+    dist = luxemburg_norm_dense(M, rows - rows[0])
+    for _ in range(1, min(max_centers, len(points))):
+        far = int(np.argmax(dist))
+        if dist[far] == 0.0:
+            break
+        dist = np.minimum(dist, luxemburg_norm_dense(M, rows - rows[far]))
+    return float(dist.max())
+
+
+def ref_diam(points, M, cap=200):
+    if len(points) < 2:
+        return 0.0
+    if len(points) > cap:
+        keep = np.rint(np.linspace(0, len(points) - 1, cap)).astype(int)
+        points = [points[i] for i in keep]
+    rows = ref_block(points)
+    ii, jj = np.triu_indices(len(rows), k=1)
+    return float(luxemburg_norm_dense(M, rows[ii] - rows[jj]).max())
+
+
+def ref_sublevel(pts, values, eps, sampler):
+    inf_sample = min(v for v in values if math.isfinite(v))
+    chosen = tuple(p for p, v in zip(pts, values) if v <= inf_sample + eps)
+    return SublevelSample(eps, chosen, inf_sample, sampler.describe())
+
+
+def ref_wpmc(M, pts, values, levels, sampler, max_centers=8, tol=1e-2, slack=0.1):
+    inf_sample = min(v for v in values if math.isfinite(v))
+    alphas, diams = [], []
+    for level in levels:
+        chosen = [p for p, v in zip(pts, values) if v <= inf_sample + level]
+        alphas.append(ref_kuratowski(chosen, M, max_centers))
+        diams.append(ref_diam(chosen, M))
+
+    def weakly_decreasing(seq):
+        return all(b <= a * (1.0 + slack) + 1e-12 for a, b in zip(seq, seq[1:]))
+
+    if alphas[-1] < tol and diams[-1] < tol and weakly_decreasing(alphas) and weakly_decreasing(diams):
+        verdict = VERDICT_WPMC
+    elif alphas[-1] > 10.0 * tol or diams[-1] > 10.0 * tol:
+        verdict = VERDICT_NOT_WPMC
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+    return WellPosednessReport(levels, tuple(alphas), tuple(diams), verdict, sampler.describe())
+
+
+def ref_intersection(fv, gv, delta, fp_slack=1e-9):
+    fv, gv = np.array(fv), np.array(gv)
+    both = fv + gv
+    finite = np.isfinite(fv) & np.isfinite(gv)
+    inf_f, inf_g, inf_fg = fv[finite].min(), gv[finite].min(), both[finite].min()
+    if not ((fv <= inf_f + delta) & (gv <= inf_g + delta)).any():
+        return IntersectionCheck(True, False, 0)
+    candidates = both <= inf_fg + delta
+    contained = (fv <= inf_f + 3.0 * delta + fp_slack) & (gv <= inf_g + 3.0 * delta + fp_slack)
+    return IntersectionCheck(not bool((candidates & ~contained).any()), True, int(candidates.sum()))
+
+
+def _witnesses():
+    M = make_non_delta2()
+    return tuple(non_delta2_witness(M, k)[0] for k in (5, 10, 20, 50))
+
+
+FAMILIES = {
+    "power:2": (make_power(2.0), ()),
+    "power:1.5": (make_power(1.5), ()),
+    "non-delta2": (make_non_delta2(), _witnesses()),
+}
+
+
+def _objectives(M):
+    z = SparseSequence.from_pairs([(1, 0.3), (2, -0.2)])
+    return {
+        "modular": parse_objective(M, "modular"),
+        "sqdist": parse_objective(M, "sqdist:1:0.3,2:-0.2"),
+        "ball-quad": parse_objective(M, "ball-quad"),
+        "bump-inv": parse_objective(M, "bump-inv"),
+        "scalar-only": Objective(eval=lambda x: modular(M, x - z), domain_radius=1.0, lower_bound=0.0),
+    }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_ball_sampler_points_are_the_reference_conversion(family):
+    M, extra = FAMILIES[family]
+    for seed in SEEDS:
+        sampler = BallSampler(seed=seed, count=COUNT, extra=extra)
+        pts = sampler.points(M, 1.0)
+        assert pts == ref_points(sampler, M, 1.0)
+        assert pts[COUNT] == SparseSequence()
+        assert tuple(pts[COUNT + 1 :]) == extra
+        rows, indices = sampler.dense_points(M, 1.0)
+        assert rows.shape == (COUNT + 1 + len(extra), len(indices))
+        assert indices == tuple(range(1, max([40] + [x.max_index for x in extra]) + 1))
+
+
+def _check_against_reference(M, objectives, names, sampler):
+    pts = ref_points(sampler, M, 1.0)
+    values = {name: [float(objectives[name].eval(p)) for p in pts] for name in {*names, "modular"}}
+    for name in names:
+        f = objectives[name]
+        got = sublevel_sample(M, f, 1.0, 0.0625, sampler)
+        want = ref_sublevel(pts, values[name], 0.0625, sampler)
+        assert got.points == want.points, (name, sampler)
+        assert (got.level, got.sampler_spec) == (want.level, want.sampler_spec)
+        # Dense and scalar evaluators may round the infimum differently.
+        assert got.inf_sample == pytest.approx(want.inf_sample, rel=1e-13, abs=1e-300)
+        got = wpmc_diagnose(M, f, 1.0, LEVELS, sampler, max_centers=CENTERS)
+        assert got == ref_wpmc(M, pts, values[name], LEVELS, sampler, CENTERS), (name, sampler)
+        got = intersection_lemma_check(M, f, objectives["modular"], 1.0, 0.05, sampler)
+        assert got == ref_intersection(values[name], values["modular"], 0.05), (name, sampler)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dense_diagnostics_match_the_per_point_path(family):
+    M, extra = FAMILIES[family]
+    objectives = _objectives(M)
+    names = list(objectives)
+    for seed in SEEDS:
+        # A non-delta2 norm is a Newton solve of about 1.4 ms a call, so
+        # there the objectives take turns: each still meets four seeds.
+        turn = names if family != "non-delta2" else [names[seed % len(names)]]
+        sampler = BallSampler(seed=seed, count=COUNT, decades=4.0, extra=extra)
+        _check_against_reference(M, objectives, turn, sampler)
+
+
+def test_dense_diagnostics_match_past_the_diameter_cap():
+    # More than 200 chosen points: the diameter subsample is cut to its own
+    # last nonzero column, as the reference cuts it.
+    M = make_power(1.5)
+    objectives = {"modular": parse_objective(M, "modular")}
+    sampler = BallSampler(seed=0, count=300, decades=4.0, extra=_witnesses())
+    _check_against_reference(M, objectives, ["modular"], sampler)
+
+
+def test_diameter_subsample_is_cut_to_its_own_width():
+    # Coordinate 9 appears only in a point that the 200-point subsample
+    # drops, so the subsample's block is 7 columns wide, as the reference
+    # builds it; a 9-column block sums the rows in another order.
+    M = make_power(1.5)
+    rng = np.random.default_rng(3)
+    pts = [SparseSequence.from_values(rng.standard_normal(7)) for _ in range(300)]
+    pts[1] = SparseSequence.from_pairs([(9, 0.5)])
+    assert _diam_estimate(_dense_block(pts), M) == ref_diam(pts, M)
+
+
+def test_scalar_only_objective_on_a_grid_sampler_with_gaps():
+    # A GridSampler on coordinates (1, 3): the block holds coordinate 2 as a
+    # zero column, and the scalar objective sees the same sequences as before.
+    M = make_power(2.0)
+    sampler = GridSampler(indices=(1, 3), step=0.25, radius=1.0)
+    f = Objective(
+        eval=lambda x: (x.value_at(1) - 0.5) ** 2 + x.value_at(3) ** 2,
+        domain_radius=1.0, lower_bound=0.0,
+    )
+    axis = np.arange(-4, 5) * 0.25
+    pts = [SparseSequence.from_pairs([(1, a), (3, b)]) for a in axis for b in axis]
+    assert sampler.points(M) == pts
+    values = [f.eval(p) for p in pts]
+    assert sublevel_sample(M, f, 1.0, 0.1, sampler) == ref_sublevel(pts, values, 0.1, sampler)
+    assert wpmc_diagnose(M, f, 1.0, LEVELS, sampler) == ref_wpmc(M, pts, values, LEVELS, sampler)
+
+
+def test_objective_whose_dense_evaluator_refuses_the_block_falls_back():
+    # z lies beyond the sampler's indices, which the dense sqdist refuses;
+    # the diagnostics then evaluate it point by point, as before.
+    M = make_power(2.0)
+    f = parse_objective(M, "sqdist:50:0.3")
+    sampler = BallSampler(seed=3, count=COUNT)
+    pts = ref_points(sampler, M, 1.0)
+    values = [f.eval(p) for p in pts]
+    assert sublevel_sample(M, f, 1.0, 0.01, sampler) == ref_sublevel(pts, values, 0.01, sampler)
+    assert wpmc_diagnose(M, f, 1.0, LEVELS, sampler) == ref_wpmc(M, pts, values, LEVELS, sampler)

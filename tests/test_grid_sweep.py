@@ -8,6 +8,7 @@ every round rebuilds f + g_a over the materialized grid with
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from orlicz import (
     DomainError,
     GridOracle,
+    OrliczError,
     PerturbationWeights,
     SparseSequence,
     construct_local_perturbation,
@@ -24,10 +26,12 @@ from orlicz import (
     luxemburg_norm,
     luxemburg_norm_dense,
     modular_dense,
+    modular_objective,
     parse_family,
     perturb_minimize,
     support_from_below,
 )
+from orlicz import engine
 from orlicz.objectives import parse_objective
 
 
@@ -158,3 +162,26 @@ def test_scalar_fallback_refused_above_its_cap():
     with pytest.raises(DomainError, match="fallback"):
         oracle.evaluate(lambda x: 0.0)
 
+
+
+def test_evaluate_refuses_a_dense_evaluator_of_the_wrong_length():
+    oracle = GridOracle((1, 2), step=0.5, radius=1.0)
+    for wrong in (lambda rows, idx: np.zeros(len(rows) + 1), lambda rows, idx: np.float64(1.0)):
+        with pytest.raises(OrliczError, match="dense evaluator returned"):
+            oracle.evaluate(lambda x: 0.0, wrong)
+
+
+def test_sweep_peak_memory_is_about_two_grid_arrays(monkeypatch):
+    # 101^3 = 1,030,301 points.  Small chunks keep the streamed temporaries
+    # out of the figure, which is then the cached f, one round's totals and
+    # their boolean masks: about 2.25 arrays of 8 bytes per point.
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 1 << 14)
+    M = parse_family("power:2")
+    oracle = GridOracle((1, 2, 3), step=0.02, radius=1.0)
+    tracemalloc.start()
+    try:
+        perturb_minimize(M, modular_objective(M), 0.1, oracle, budget=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * oracle.points

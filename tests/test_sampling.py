@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,16 @@ def test_grid_sampler_validation():
         GridSampler(step=0.0)
     with pytest.raises(DomainError):
         GridSampler(indices=())
+
+
+def test_grid_sampler_refuses_oversized_grids_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            GridSampler(tuple(range(1, 9)), step=0.01)  # 201^8 points
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(DomainError):
+        GridSampler(step=2.0, radius=1.0)  # step above the radius

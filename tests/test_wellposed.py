@@ -20,7 +20,7 @@ from orlicz import (
     sublevel_sample,
     wpmc_diagnose,
 )
-from orlicz.wellposed import _diam_estimate
+from orlicz.wellposed import _dense_block, _diam_estimate
 
 M1 = make_power(1)
 M2 = make_power(2)
@@ -151,8 +151,8 @@ def test_diam_estimate_subsample_keeps_the_end_of_the_list():
     # of 200 the farthest pair is (first, last) and both must be compared.
     pts = [SparseSequence.from_pairs([(1, 0.001 * (i + 1))]) for i in range(299)]
     pts.append(SparseSequence.from_pairs([(1, 5.0)]))
-    assert _diam_estimate(pts, M2) == pytest.approx(5.0 - 0.001, rel=1e-12)
-    assert _diam_estimate(pts[:150], M2) == pytest.approx(0.149, rel=1e-12)
+    assert _diam_estimate(_dense_block(pts), M2) == pytest.approx(5.0 - 0.001, rel=1e-12)
+    assert _diam_estimate(_dense_block(pts[:150]), M2) == pytest.approx(0.149, rel=1e-12)
 
 
 def test_wpmc_level_validation():
