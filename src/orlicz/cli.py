@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -43,6 +42,8 @@ from .wellposed import non_delta2_witness, wpmc_diagnose
 __all__ = ["ExperimentConfig", "main"]
 
 CSV_SCHEMA = "#schema=1"
+# What a config file may hold for a field, by the type of the field's default.
+_JSON_KINDS = {float: "a number", int: "an integer", str: "a string"}
 
 
 def _flag(default, help_text: str):
@@ -84,8 +85,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if isinstance(field.default, float) and not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"config field {field.name} must be positive, got {value}")
+            # int and float compare exactly, so an integer too big for a float cannot overflow here
+            if isinstance(field.default, float) and not 0.0 < value <= sys.float_info.max:
+                raise DomainError(f"config field {field.name} must be positive and finite, got {value}")
             if isinstance(field.default, int) and field.name != "seed" and value < 1:
                 raise DomainError(f"config field {field.name} must be >= 1, got {value}")
 
@@ -97,10 +99,15 @@ class ExperimentConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise DomainError("config file must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(kinds))
         if unknown:
             raise DomainError(f"unknown config fields: {', '.join(unknown)}")
+        for name, value in data.items():
+            # A float field also takes a JSON integer; bool is an int to Python.
+            kind = kinds[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                raise DomainError(f"config field {name} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
         return cls(**data)
 
 

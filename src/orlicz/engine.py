@@ -29,7 +29,7 @@ from .space import (
     phi_bound,
     project_tail,
 )
-from .weights import PerturbationWeights, g_eval
+from .weights import PerturbationWeights, g_eval, g_eval_dense
 
 __all__ = [
     "Objective",
@@ -135,15 +135,21 @@ class GridOracle:
                     f"capped at {_MAX_SCALAR_POINTS:,} grid points, this grid has {self.points:,}"
                 )
             return np.array([scalar_fn(self.sequence_at(i)) for i in range(self.points)], dtype=float)
-        out = np.empty(self.points, dtype=float)
-        for start in range(0, self.points, _CHUNK_ROWS):
+
+        def chunk(start: int) -> np.ndarray:
             stop = min(start + _CHUNK_ROWS, self.points)
             vals = np.asarray(dense_fn(self.rows_at(np.arange(start, stop)), self.indices), dtype=float)
             if vals.shape != (stop - start,):
                 raise OrliczError(
                     f"dense evaluator returned shape {vals.shape} for {stop - start} grid rows"
                 )
-            out[start:stop] = vals
+            return vals
+
+        if self.points <= _CHUNK_ROWS:  # one chunk: its array is the result
+            return chunk(0)
+        out = np.empty(self.points, dtype=float)
+        for start in range(0, self.points, _CHUNK_ROWS):
+            out[start : start + _CHUNK_ROWS] = chunk(start)
         return out
 
     def weighted_modular(self, M: OrliczFunction, a: PerturbationWeights) -> np.ndarray:
@@ -456,15 +462,15 @@ def supporting_functional(
             support_size=min(6, span),
             index_range=span,
         )
-        g_at_bar = g_eval(M, a, x_bar)
-        for y in sampler.points(M, K):
-            gap = g_eval(M, a, y) - g_at_bar - _pairing(p, y - x_bar)
-            if gap < -1e-10:
-                raise OrliczError(
-                    f"subgradient inequality failed by {gap:.3e} at a sample"
-                )
+        block, indices = sampler.dense_points(M, K)
+        width = len(indices)
+        gaps = (
+            g_eval_dense(M, a, block, indices)
+            - g_eval(M, a, x_bar)
+            - (block - x_bar.to_dense(width)) @ p.to_dense(width)
+        )
+        if gaps.min() < -1e-10:
+            raise OrliczError(
+                f"subgradient inequality failed by {gaps.min():.3e} at a sample"
+            )
     return p, norm_bound
-
-
-def _pairing(p: SparseSequence, h: SparseSequence) -> float:
-    return sum(p.value_at(idx) * val for idx, val in h.entries)

@@ -98,11 +98,8 @@ class PerturbationWeights:
 
 
 def g_eval(M: OrliczFunction, a: PerturbationWeights, x: SparseSequence) -> float:
-    """g_a(x) = sum over the support of a_n M(|x_n|)."""
-    if not x.entries:
-        return 0.0
-    m = np.asarray(M.eval(np.abs(np.array(x.entries, dtype=float)[:, 1])), dtype=float)
-    return sum(a.weight_at(idx) * v for (idx, _), v in zip(x.entries, m.tolist()))
+    """g_a(x) = sum over the support of a_n M(|x_n|): a one-row call of g_eval_dense."""
+    return float(g_eval_dense(M, a, np.array(x.values(), dtype=float), x.indices())[0])
 
 
 def g_eval_dense(

@@ -216,6 +216,31 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"radius": "abc"}', "radius"),
+    ('{"family": 5}', "family"),
+    ('{"samples": 2.5}', "samples"),
+    ('{"radius": true}', "radius"),
+    ('{"radius": 1%s}' % ("0" * 400), "radius"),  # an integer no float can hold
+])
+def test_config_file_values_must_match_field_types(capsys, tmp_path, text, field):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    rc, out, err = run(capsys, ["norm", "--config", str(cfg_path), "--sequence", "1:1"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: config field {field} must be") and err.count("\n") == 1
+
+
+def test_config_file_float_field_takes_an_integer(capsys, tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"radius": 2, "sequence": "1:1"}')
+    rc, out, _ = run(capsys, ["norm", "--config", str(cfg_path)])
+    assert rc == 0
+    assert payload(out)["config"]["radius"] == 2
+    assert '"radius": 2,' in out  # echoed unchanged, not as 2.0
+
+
 def test_env_seed_overrides_everything(capsys, monkeypatch):
     monkeypatch.setenv("ORLICZ_SEED", "777")
     rc, out, _ = run(capsys, ["norm", "--sequence", "1:1", "--seed", "5"])

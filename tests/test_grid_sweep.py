@@ -171,6 +171,18 @@ def test_evaluate_refuses_a_dense_evaluator_of_the_wrong_length():
             oracle.evaluate(lambda x: 0.0, wrong)
 
 
+def test_single_chunk_sweep_returns_the_evaluator_array():
+    oracle = GridOracle((1, 2), step=0.5, radius=1.0)
+    returned = []
+
+    def dense(rows, idx):
+        returned.append(np.asarray(rows, dtype=float).sum(axis=1))
+        return returned[-1]
+
+    vals = oracle.evaluate(lambda x: 0.0, dense)
+    assert len(returned) == 1 and vals is returned[0] and vals.dtype == np.float64
+
+
 def test_sweep_peak_memory_is_about_two_grid_arrays(monkeypatch):
     # 101^3 = 1,030,301 points.  Small chunks keep the streamed temporaries
     # out of the figure, which is then the cached f, one round's totals and

@@ -341,3 +341,12 @@ def test_supporting_functional_subgradient_inequality():
         h = y - x_bar
         pairing = sum(p.value_at(i) * v for i, v in h.entries)
         assert g_eval(M2, a, y) - g_bar - pairing >= -1e-10
+
+
+def test_supporting_functional_spot_check_rejects_a_nonconvex_g():
+    # A negative head weight makes g_a concave along e_1: there the gap is
+    # -0.5 (y_1 - 0.4)^2, so the sampled block (the zero row already) fails.
+    a = PerturbationWeights(head=(-0.5,), tail=0.5, signed=True)
+    x_bar = SparseSequence.from_pairs([(1, 0.4), (2, 0.1)])
+    with pytest.raises(OrliczError, match="subgradient inequality failed"):
+        supporting_functional(M2, a, x_bar, 1.0, check_samples=80)

@@ -1,6 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz import (
     DomainError,
@@ -11,9 +14,11 @@ from orlicz import (
     SparseSequence,
     classify_space,
     g_eval,
+    luxemburg_norm,
     make_non_delta2,
     make_power,
     modular,
+    parse_family,
     probe_l1,
     probe_p_growth,
     probe_second_derivative,
@@ -126,6 +131,80 @@ def test_l1_probe_matches_per_coordinate_second_differences():
 def test_l1_probe_respects_n_probe():
     r = probe_l1(M1, ONES, SparseSequence(), (0.1,), n_probe=3)
     assert "1..3" in r.notes
+    assert r.verdict == "obstruction-confirmed"
+
+
+def test_l1_probe_block_is_bounded_before_allocation():
+    with pytest.raises(DomainError, match="n_probe"):
+        probe_l1(M1, ONES, SparseSequence(), (0.1,), n_probe=0)
+    with pytest.raises(DomainError, match="n_probe"):
+        probe_l1(M1, ONES, SparseSequence(), (0.1, 0.01), n_probe=(1 << 21) + 1)
+    far = SparseSequence.from_pairs([(10 ** 9, 1.0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="n_probe"):
+            probe_l1(M1, ONES, far, (0.1, 0.01))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the default block would hold 2 x 10^9 cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["power:1", "power:1.5", "power:2", "non-delta2"]),
+    head=st.lists(st.floats(min_value=0.0, max_value=3.0), max_size=5),
+    tail=st.floats(min_value=0.0, max_value=3.0),
+    x_bar=st.dictionaries(
+        st.integers(1, 8),
+        st.floats(min_value=-1.0, max_value=1.0).filter(lambda v: v != 0.0),
+        max_size=5,
+    ),
+    scales=st.lists(
+        st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=4, unique=True
+    ),
+    n_probe=st.integers(1, 12),
+)
+def test_l1_probe_matches_full_sum_second_differences(family, head, tail, x_bar, scales, n_probe):
+    # Reference: the sup over n of second_difference of g_a along t*e_n, where
+    # each g_a is a full sum over the support.  Its cancellation error is at
+    # most a few ulps of g(x+h) + g(x-h) + 2 g(x), or of the smallest
+    # subnormal where those underflow, scaled by 1/||h||.
+    M = parse_family(family)
+    a = PerturbationWeights(head=tuple(head), tail=tail)
+    x = SparseSequence.from_pairs(x_bar.items())
+    scales = sorted(scales, reverse=True)
+    r = probe_l1(M, a, x, scales, n_probe=n_probe)
+
+    def g(y):
+        return g_eval(M, a, y)
+
+    decided, ref_confirmed = True, True
+    for t, q in zip(scales, r.quotients):
+        refs, slacks = [], []
+        for n in range(1, n_probe + 1):
+            h = SparseSequence.from_pairs([(n, t)])
+            refs.append(second_difference(M, g, x, h, 1.0, convex=True))
+            mass = g(x + h) + g(x - h) + 2.0 * g(x)
+            slacks.append(64 * (2.0 ** -52 * mass + 2.0 ** -1074) / luxemburg_norm(M, h))
+        ref = max(refs)
+        ref_confirmed = ref_confirmed and ref >= r.threshold
+        bound = 1e-12 * abs(ref) + max(slacks)
+        assert abs(q - ref) <= bound
+        if abs(ref - r.threshold) > bound:
+            assert (q >= r.threshold) == (ref >= r.threshold)
+        else:
+            decided = False
+    if decided:
+        assert r.verdict == ("obstruction-confirmed" if ref_confirmed else "inconclusive")
+
+
+def test_l1_probe_kink_quotients_are_exact():
+    # Each spike touches one coordinate, so no full sum cancels: fresh
+    # coordinates give (t + t - 0) / t = 2 exactly at every scale.
+    x_bar = SparseSequence.from_pairs((j, 2.0 ** -j) for j in range(1, 21))
+    r = probe_l1(M1, ONES, x_bar, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
+    assert r.quotients == (2.0,) * 5
     assert r.verdict == "obstruction-confirmed"
 
 
