@@ -24,7 +24,6 @@ from .space import (
     luxemburg_norm,
     luxemburg_norm_dense,
     modular,
-    modular_dense,
     nu_bound,
     phi_bound,
     project_tail,
@@ -59,8 +58,11 @@ class Objective:
     eval maps a sparse sequence to a float, +inf allowed outside the
     effective domain, NaN never.  eval_dense, when provided, evaluates a
     dense (n, d) block whose columns live on the given coordinate indices.
-    The engine evaluates f over its grid once per solve, through eval_dense
-    in streamed chunks, or through eval point by point on grids of at most
+    eval_grid, when provided, maps a GridOracle to f's values at all of its
+    points in flat order, typically from per-axis vectors through
+    GridOracle.outer_sum.  The engine evaluates f over its grid once per
+    solve: through eval_grid when present, else through eval_dense in
+    streamed chunks, else through eval point by point on grids of at most
     100,000 points.  lower_bound is a witness that the objective is bounded
     below; probe_points witness properness.  coercive is a caller assertion
     (the engine treats the objective as non-coercive unless told otherwise).
@@ -70,6 +72,7 @@ class Objective:
     domain_radius: float
     lower_bound: float
     eval_dense: Optional[Callable] = None
+    eval_grid: Optional[Callable] = None
     probe_points: tuple[SparseSequence, ...] = field(default=(SparseSequence(),))
     coercive: bool = False
 
@@ -89,9 +92,10 @@ class GridOracle:
     The grid is the product of one axis of 2n+1 values per coordinate,
     flattened in C order (meshgrid "ij"), so flat index k maps to a row
     through np.unravel_index.  Exact on its own grid, so it meets any
-    accuracy request.  evaluate() streams the grid in flat-index chunks and
-    weighted_modular() builds g_a from per-axis vectors; neither holds the
-    whole (points, d) array, which grid() builds only on request.
+    accuracy request.  outer_sum() builds a separable sum such as g_a or
+    sigma from one vector per axis, and evaluate() streams the grid in
+    flat-index chunks through a row evaluator; neither holds the whole
+    (points, d) array, which grid() builds only on request.
     """
 
     def __init__(self, indices: tuple[int, ...] = (1, 2, 3), step: float = 0.05, radius: float = 1.0):
@@ -138,12 +142,7 @@ class GridOracle:
 
         def chunk(start: int) -> np.ndarray:
             stop = min(start + _CHUNK_ROWS, self.points)
-            vals = np.asarray(dense_fn(self.rows_at(np.arange(start, stop)), self.indices), dtype=float)
-            if vals.shape != (stop - start,):
-                raise OrliczError(
-                    f"dense evaluator returned shape {vals.shape} for {stop - start} grid rows"
-                )
-            return vals
+            return _checked(dense_fn(self.rows_at(np.arange(start, stop)), self.indices), stop - start, "dense")
 
         if self.points <= _CHUNK_ROWS:  # one chunk: its array is the result
             return chunk(0)
@@ -152,22 +151,44 @@ class GridOracle:
             out[start : start + _CHUNK_ROWS] = chunk(start)
         return out
 
-    def weighted_modular(self, M: OrliczFunction, a: PerturbationWeights) -> np.ndarray:
-        """g_a at every grid point, in flat order.
+    def outer_sum(self, term: Callable, lead: slice = slice(None)) -> np.ndarray:
+        """sum_j term(axis, i_j)[k_j] at every grid point, in flat order.
 
-        g_a is separable: the sum over coordinates j of a_{i_j} M(|axis|),
-        so M runs once on the axis and the d weighted vectors are
-        outer-added in the grid's C order.
+        term maps the axis values and a coordinate index to one vector of
+        length 2n+1; the d vectors are outer-added in the grid's C order,
+        left to right as a row sum adds its columns.  lead restricts the
+        leading axis, which yields the slab of consecutive flat indices
+        whose first coordinate lies in it.
         """
-        m_axis = np.asarray(M.eval(np.abs(self.axis)), dtype=float)
-        parts = [a.weight_at(i) * m_axis for i in self.indices]
+        parts = [np.asarray(term(self.axis, i), dtype=float) for i in self.indices]
+        parts[0] = parts[0][lead]
         return functools.reduce(np.add.outer, parts).ravel()
+
+    def weighted_modular(self, M: OrliczFunction, a: PerturbationWeights) -> np.ndarray:
+        """g_a at every grid point, in flat order: the outer sum of a_i M(|axis|)."""
+        m_axis = np.asarray(M.eval(np.abs(self.axis)), dtype=float)
+        return self.outer_sum(lambda axis, i: a.weight_at(i) * m_axis)
 
     def describe(self) -> str:
         return (
             f"grid(indices={list(self.indices)}, step={self.step:g}, "
             f"radius={self.radius:g}, points={self.points})"
         )
+
+
+def _checked(vals, n: int, kind: str) -> np.ndarray:
+    """vals as a float array, which must hold one value per grid point."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != (n,):
+        raise OrliczError(f"{kind} evaluator returned shape {vals.shape} for {n} grid points")
+    return vals
+
+
+def _grid_values(f: Objective, oracle: GridOracle) -> np.ndarray:
+    """f at every grid point: from eval_grid when present, else streamed."""
+    if f.eval_grid is None:
+        return oracle.evaluate(f.eval, f.eval_dense)
+    return _checked(f.eval_grid(oracle), oracle.points, "grid")
 
 
 @dataclass(frozen=True)
@@ -321,7 +342,7 @@ def perturb_minimize(
         raise DomainError("objective needs a positive finite domain_radius")
     f.assert_proper()
     # f does not change between rounds; only g_a does.
-    base = oracle.evaluate(f.eval, f.eval_dense)
+    base = _grid_values(f, oracle)
 
     theta0 = 0.0 if f.coercive else eps / 4.0
     weights = PerturbationWeights(head=(), tail=theta0)
@@ -393,20 +414,34 @@ def support_from_below(
             return math.inf
         return float(f.eval(x)) - eps_hi * modular(M, x)
 
-    shifted_dense = None
-    if f.eval_dense is not None:
+    def m_abs(axis: np.ndarray, i: int) -> np.ndarray:
+        return M.eval(np.abs(axis))
 
-        def shifted_dense(rows: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
-            base = np.asarray(f.eval_dense(rows, indices), dtype=float)
-            out = base - eps_hi * modular_dense(M, rows)
-            out[modular_dense(M, rows / radius_slack) > 1.0] = math.inf
-            return out
+    def m_abs_scaled(axis: np.ndarray, i: int) -> np.ndarray:
+        return M.eval(np.abs(axis / radius_slack))
+
+    # sigma is separable for every M, so f1 always has a grid evaluator.  It
+    # holds at most two grid arrays: f's values and eps_hi * sigma, then
+    # f1's values alone while the domain mask is built one leading-axis slab
+    # at a time.
+    def shifted_grid(oracle: GridOracle) -> np.ndarray:
+        base = _grid_values(f, oracle)
+        out = oracle.outer_sum(m_abs)
+        out *= eps_hi
+        np.subtract(base, out, out=out)
+        del base
+        slab = oracle.points // len(oracle.axis)
+        per = max(1, _CHUNK_ROWS // slab)
+        for k in range(0, len(oracle.axis), per):
+            outside = oracle.outer_sum(m_abs_scaled, slice(k, k + per)) > 1.0
+            out[k * slab : k * slab + len(outside)][outside] = math.inf
+        return out
 
     f1 = Objective(
         eval=shifted,
         domain_radius=K,
         lower_bound=f.lower_bound - eps_hi * nu_bound(M, K),
-        eval_dense=shifted_dense,
+        eval_grid=shifted_grid,
         probe_points=f.probe_points,
         coercive=True,
     )

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .engine import Objective
+from .engine import GridOracle, Objective
 from .errors import DomainError
 from .functions import OrliczFunction
 from .sequences import SparseSequence, parse_sequence
@@ -21,6 +21,34 @@ __all__ = [
 ]
 
 
+def _norm_grid(M: OrliczFunction, dense, from_norm, center=None):
+    """eval_grid of f = from_norm(||x - center||) for a power family, else None.
+
+    The norm is (sum_j s|x_j - c_j|^p)^(1/p), outer-summed from per-axis
+    terms.  These carry no row-max scaling, so when a nonzero difference
+    gives a term below the smallest normal float, or the largest sum is
+    infinite, the grid goes through the streamed dense path instead.
+    from_norm may overwrite the norms it is given.
+    """
+    if M.power is None:
+        return None
+    root = 1.0 / M.power[0]
+
+    def eval_grid(oracle: GridOracle) -> np.ndarray:
+        shift = np.zeros(len(oracle.indices)) if center is None else center(oracle.indices)
+        diffs = {i: np.abs(oracle.axis - c) for i, c in zip(oracle.indices, shift)}
+        with np.errstate(over="ignore"):
+            terms = {i: np.asarray(M.eval(d), dtype=float) for i, d in diffs.items()}
+        lost = any((terms[i][d > 0.0] < np.finfo(float).tiny).any() for i, d in diffs.items())
+        if lost or not math.isfinite(sum(float(t.max()) for t in terms.values())):
+            return oracle.evaluate(None, dense)
+        norms = oracle.outer_sum(lambda axis, i: terms[i])
+        norms **= root
+        return from_norm(norms)
+
+    return eval_grid
+
+
 def modular_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
     """f = sigma_M on the radius ball; coercive, minimized at 0."""
 
@@ -32,6 +60,7 @@ def modular_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
         domain_radius=radius,
         lower_bound=0.0,
         eval_dense=dense,
+        eval_grid=lambda oracle: oracle.outer_sum(lambda axis, i: M.eval(np.abs(axis))),
         coercive=True,
     )
 
@@ -45,7 +74,7 @@ def squared_distance_objective(
         raise DomainError("target z must be nonzero; use the modular objective for 0")
     dense_z_cache: dict[tuple[int, ...], np.ndarray] = {}
 
-    def dense(rows: np.ndarray, indices) -> np.ndarray:
+    def dense_z(indices) -> np.ndarray:
         key = tuple(indices)
         if any(i not in key for i, _ in z.entries):
             raise DomainError(
@@ -53,14 +82,21 @@ def squared_distance_objective(
             )
         if key not in dense_z_cache:
             dense_z_cache[key] = np.array([z.value_at(i) for i in indices], dtype=float)
-        diff = rows - dense_z_cache[key][None, :]
-        return luxemburg_norm_dense(M, diff) ** 2
+        return dense_z_cache[key]
+
+    def squared(n: np.ndarray) -> np.ndarray:
+        n *= n
+        return n
+
+    def dense(rows: np.ndarray, indices) -> np.ndarray:
+        return squared(luxemburg_norm_dense(M, rows - dense_z(indices)[None, :]))
 
     return Objective(
         eval=lambda x: luxemburg_norm(M, x - z) ** 2,
         domain_radius=2.0 * nz,
         lower_bound=0.0,
         eval_dense=dense,
+        eval_grid=_norm_grid(M, dense, squared, center=dense_z),
         probe_points=(z, SparseSequence()),
         coercive=coercive,
     )
@@ -78,17 +114,22 @@ def shifted_ball_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
         n = luxemburg_norm(M, x)
         return 1.0 + n * n if n <= radius * (1.0 + 1e-12) else math.inf
 
+    def from_norm(n: np.ndarray) -> np.ndarray:
+        outside = n > radius * (1.0 + 1e-12)
+        n *= n
+        n += 1.0
+        n[outside] = math.inf
+        return n
+
     def dense(rows: np.ndarray, indices) -> np.ndarray:
-        n = luxemburg_norm_dense(M, rows)
-        out = 1.0 + n * n
-        out[n > radius * (1.0 + 1e-12)] = math.inf
-        return out
+        return from_norm(luxemburg_norm_dense(M, rows))
 
     return Objective(
         eval=evaluate,
         domain_radius=radius,
         lower_bound=1.0,
         eval_dense=dense,
+        eval_grid=_norm_grid(M, dense, from_norm),
         coercive=False,
     )
 
@@ -109,20 +150,30 @@ def inverse_bump_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
         except OverflowError:  # true value exceeds float range just inside the wall
             return math.inf
 
-    def dense(rows: np.ndarray, indices) -> np.ndarray:
-        r = luxemburg_norm_dense(M, rows) / radius
-        inside = r < 1.0
-        out = np.full(len(rows), math.inf)
-        rr = r[inside]
+    def from_norm(n: np.ndarray) -> np.ndarray:
+        # exp(2/(1 - r^2) - 2) step by step in place, so that a whole grid
+        # holds one extra array of the inside points only.
+        n /= radius
+        inside = n < 1.0
+        rr = n[inside]
+        rr *= rr
+        np.subtract(1.0, rr, out=rr)
+        np.divide(2.0, rr, out=rr)
+        rr -= 2.0
         with np.errstate(over="ignore"):
-            out[inside] = np.exp(2.0 / (1.0 - rr * rr) - 2.0)
-        return out
+            n[inside] = np.exp(rr, out=rr)
+        n[~inside] = math.inf
+        return n
+
+    def dense(rows: np.ndarray, indices) -> np.ndarray:
+        return from_norm(luxemburg_norm_dense(M, rows))
 
     return Objective(
         eval=evaluate,
         domain_radius=radius,
         lower_bound=1.0,
         eval_dense=dense,
+        eval_grid=_norm_grid(M, dense, from_norm),
         coercive=False,
     )
 

@@ -20,6 +20,10 @@ from .space import luxemburg_norm_dense
 
 __all__ = ["BallSampler", "GridSampler", "dense_to_sequences"]
 
+# Largest dense block a ball sampler builds, checked before anything is
+# allocated: 2^22 cells of 8 bytes are 32 MiB.
+_MAX_CELLS = 1 << 22
+
 
 def dense_to_sequences(rows: np.ndarray, indices: tuple[int, ...]) -> list[SparseSequence]:
     """Map dense rows over the given coordinate indices to sparse form."""
@@ -39,7 +43,8 @@ class BallSampler:
     1..index_range, standard normal values, row normalized to Luxemburg
     norm 1.  Radii: radius * 10**(-decades * u), u uniform, so every scale
     down to radius/10^decades is populated.  The zero sequence and any
-    `extra` points are appended to every draw.
+    `extra` points are appended to every draw.  A draw of more than 2^22
+    cells, rows times the largest index, is refused before allocation.
     """
 
     seed: int
@@ -64,6 +69,13 @@ class BallSampler:
         points, as dense coordinates over 1..width, width the largest index."""
         if radius <= 0.0:
             raise DomainError(f"radius must be > 0, got {radius}")
+        width = max([self.index_range] + [x.max_index for x in self.extra])
+        n_rows = self.count + self.include_zero + len(self.extra)
+        if n_rows * width > _MAX_CELLS:
+            raise DomainError(
+                f"sample block of {n_rows:,} rows x {width:,} columns exceeds the cap of "
+                f"{_MAX_CELLS:,} cells; lower count (samples) or index_range"
+            )
         rng = np.random.default_rng(self.seed)
         rows = np.zeros((self.count, self.index_range), dtype=float)
         for i in range(self.count):
@@ -73,8 +85,7 @@ class BallSampler:
         norms[norms == 0.0] = 1.0
         radii = radius * 10.0 ** (-self.decades * rng.uniform(size=self.count))
         rows *= (radii / norms)[:, None]
-        width = max([self.index_range] + [x.max_index for x in self.extra])
-        block = np.zeros((self.count + self.include_zero + len(self.extra), width), dtype=float)
+        block = np.zeros((n_rows, width), dtype=float)
         block[: self.count, : self.index_range] = rows
         for i, x in enumerate(self.extra, start=len(block) - len(self.extra)):
             block[i] = x.to_dense(width)

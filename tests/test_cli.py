@@ -275,6 +275,18 @@ def test_oversized_grid_exits_2_before_allocating(capsys):
     assert peak < 1 << 20  # 201^8 rows would be about 2e19 bytes
 
 
+def test_oversized_sample_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        rc, _, err = run(capsys, ["wellposed", "--samples", "100000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert err.startswith("error: sample block of 100,000,001 rows") and err.count("\n") == 1
+    assert peak < 1 << 20  # 10^8 rows of 40 floats would be 32 GB
+
+
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 64 GiB"), FloatingPointError("overflow")])
 def test_resource_and_float_errors_exit_2(capsys, monkeypatch, exc):
     def boom(cfg):

@@ -126,7 +126,7 @@ def test_sweep_matches_materialized_reference(family, name, dims, step, eps, z, 
         rows_seen.append(len(rows))
         return f.eval_dense(rows, indices)
 
-    fc = dataclasses.replace(f, eval_dense=counting)
+    fc = dataclasses.replace(f, eval_dense=counting, eval_grid=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GridOracle, "grid", _no_grid)
         if mode == "minimize":

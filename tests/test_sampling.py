@@ -82,6 +82,26 @@ def test_grid_sampler_validation():
         GridSampler(indices=())
 
 
+def test_ball_sampler_refuses_oversized_blocks_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"100,000,001 rows x 40 columns.*count"):
+            BallSampler(seed=0, count=10**8).dense_points(M2, 1.0)  # 32 GB of rows
+        with pytest.raises(DomainError, match="index_range"):
+            BallSampler(seed=0, count=1, index_range=10**9).dense_points(M2, 1.0)
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            BallSampler(seed=0, count=1, extra=(SparseSequence.from_pairs([(10**9, 1.0)]),)).dense_points(M2, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # A block of exactly 2^22 cells is still drawn; one cell more is not.
+    block, _ = BallSampler(seed=0, count=1, index_range=1 << 22, include_zero=False).dense_points(M2, 1.0)
+    assert block.shape == (1, 1 << 22)
+    with pytest.raises(DomainError, match="exceeds the cap"):
+        BallSampler(seed=0, count=1, index_range=(1 << 22) + 1, include_zero=False).dense_points(M2, 1.0)
+
+
 def test_grid_sampler_refuses_oversized_grids_before_allocating():
     tracemalloc.start()
     try:
