@@ -60,12 +60,14 @@ class Objective:
     dense (n, d) block whose columns live on the given coordinate indices.
     eval_grid, when provided, maps a GridOracle to f's values at all of its
     points in flat order, typically from per-axis vectors through
-    GridOracle.outer_sum.  The engine evaluates f over its grid once per
-    solve: through eval_grid when present, else through eval_dense in
-    streamed chunks, else through eval point by point on grids of at most
-    100,000 points.  lower_bound is a witness that the objective is bounded
-    below; probe_points witness properness.  coercive is a caller assertion
-    (the engine treats the objective as non-coercive unless told otherwise).
+    GridOracle.outer_sum.  Both are called on whole grids, points outside
+    the domain ball included, and must give a float or +inf at each.  The
+    engine evaluates f over its grid once per solve: through eval_grid when
+    present, else through eval_dense in streamed chunks, else through eval
+    point by point on grids of at most 100,000 points.  lower_bound is a
+    witness that the objective is bounded below; probe_points witness
+    properness.  coercive is a caller assertion (the engine treats the
+    objective as non-coercive unless told otherwise).
     """
 
     eval: Callable[[SparseSequence], float]
@@ -156,9 +158,12 @@ class GridOracle:
 
         term maps the axis values and a coordinate index to one vector of
         length 2n+1; the d vectors are outer-added in the grid's C order,
-        left to right as a row sum adds its columns.  lead restricts the
-        leading axis, which yields the slab of consecutive flat indices
-        whose first coordinate lies in it.
+        left to right.  numpy's row sum adds up to 7 columns in that order,
+        so a sum of the same terms matches it bit for bit below 8
+        coordinates; at 8 the row sum goes pairwise and the two may differ
+        in the last bits.  lead restricts the leading axis, which yields
+        the slab of consecutive flat indices whose first coordinate lies
+        in it.
         """
         parts = [np.asarray(term(self.axis, i), dtype=float) for i in self.indices]
         parts[0] = parts[0][lead]
@@ -423,8 +428,11 @@ def support_from_below(
     # sigma is separable for every M, so f1 always has a grid evaluator.  It
     # holds at most two grid arrays: f's values and eps_hi * sigma, then
     # f1's values alone while the domain mask is built one leading-axis slab
-    # at a time.
+    # at a time.  An objective with only a scalar eval goes point by point
+    # through shifted, which calls f inside the domain ball only.
     def shifted_grid(oracle: GridOracle) -> np.ndarray:
+        if f.eval_grid is None and f.eval_dense is None:
+            return oracle.evaluate(shifted)
         base = _grid_values(f, oracle)
         out = oracle.outer_sum(m_abs)
         out *= eps_hi

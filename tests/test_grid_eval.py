@@ -21,6 +21,7 @@ from orlicz import (
     Objective,
     OrliczError,
     g_eval_dense,
+    luxemburg_norm,
     modular_dense,
     parse_family,
     perturb_minimize,
@@ -61,6 +62,42 @@ def test_grid_values_match_the_dense_rows(family, name, dims, step, z):
     # d log f / d log r = 4r^2/(1 - r^2)^2 <= (2 + log f)^2.
     rtol = 1e-14 * ((2.0 + np.log(want)) ** 2 if name == "bump-inv" else 2.0)
     assert np.all(np.abs(got - want) <= rtol * np.abs(want) + 1e-300)
+
+
+def test_eight_coordinate_sums_match_the_rows_to_rounding():
+    # numpy's row sum goes pairwise from 8 columns on, while outer_sum
+    # still adds left to right: the modular may move in the last bits.  Each
+    # order errs by at most 7 ulps of the sum of 8 nonnegative terms.
+    M = parse_family("power:1.5")
+    f = parse_objective(M, "modular")
+    oracle = GridOracle(tuple(range(1, 9)), step=0.5, radius=1.0)  # 5^8 points
+    got = f.eval_grid(oracle)
+    want = oracle.evaluate(None, f.eval_dense)
+    assert np.all(np.abs(got - want) <= 7 * np.finfo(float).eps * want)
+
+
+def test_support_calls_a_scalar_only_objective_inside_its_ball_only():
+    # f raises off its ball; the support construction must mask first, as
+    # it does point by point, and match the same f that reads +inf there.
+    M = parse_family("power:2")
+    oracle = GridOracle((1, 2), step=0.1, radius=1.0)
+    calls = []
+
+    def ball_quad(x, off):
+        calls.append(x)
+        n = luxemburg_norm(M, x)
+        if n > 1.0 + 1e-6:
+            return off()
+        return 1.0 + n * n
+
+    def refuse():
+        raise ValueError("evaluated off the domain ball")
+
+    strict = Objective(eval=lambda x: ball_quad(x, refuse), domain_radius=1.0, lower_bound=1.0)
+    total = Objective(eval=lambda x: ball_quad(x, lambda: math.inf), domain_radius=1.0, lower_bound=1.0)
+    rep = support_from_below(M, strict, 0.5, 1.0, oracle)
+    assert calls and all(luxemburg_norm(M, x) <= 1.0 + 1e-6 for x in calls)
+    assert rep == support_from_below(M, total, 0.5, 1.0, oracle)
 
 
 def test_support_domain_mask_is_built_slab_by_slab(monkeypatch):

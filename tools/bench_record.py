@@ -8,11 +8,12 @@ directory.  The record holds:
 
 - acceptance criteria 07 (the sqdist solve) and 08 (the ball-quad support)
   on the 8.1M-point grid: seconds of the engine call and `ru_maxrss` of the
-  process, each run in a fresh process, `--repeats` times per side with
-  the side that runs first alternating, and the minimizer, iterations,
+  process, each run in a fresh process, REPEATS times per side with the
+  side that runs first alternating, and the minimizer, iterations,
   `converged` and reported value;
-- the perfbench workloads: `perfbench/run.py --trace 0` of each side, run
-  in `--pairs` alternating base/change pairs (the side that runs first
+- the perfbench workloads: `perfbench/run.py --trace 0` of each side, for
+  the run length BENCHMARK.json declares, in PAIRS alternating base/change
+  pairs on seeds SEED0, SEED0 + 1, ... (the side that runs first
   alternates too), with each end-to-end metric per run, the medians and
   quartiles, and the pairs the change won;
 - the host: `nproc`, the Python and numpy versions.
@@ -38,6 +39,11 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid", "diagnose", "cli-light")
+# Fresh-process runs per criterion and side, alternating base/change pairs
+# per workload, and the perfbench seed of the first pair.
+REPEATS = 5
+PAIRS = 10
+SEED0 = 200
 # Direction of each perfbench end-to-end metric, as BENCHMARK.json declares it.
 LOWER_IS_BETTER = {"setup_s": True, "op_ms": True, "ops_per_s": False, "peak_rss_mb": True}
 THREAD_VARS = (
@@ -108,11 +114,11 @@ def _summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2], "runs": values}
 
 
-def _criteria(sides: dict[str, Path], repeats: int) -> dict:
+def _criteria(sides: dict[str, Path]) -> dict:
     out = {}
     for name in ("07", "08"):
         runs = {side: [] for side in sides}
-        for k in range(repeats):
+        for k in range(REPEATS):
             for side, tree in list(sides.items())[:: 1 if k % 2 == 0 else -1]:
                 runs[side].append(_last_json([sys.executable, "-c", CRITERION, name], tree, _env(tree / "src")))
                 print(f"criterion {name} {side}: {runs[side][-1]['seconds']:.3f} s", file=sys.stderr)
@@ -128,20 +134,20 @@ def _criteria(sides: dict[str, Path], repeats: int) -> dict:
     return out
 
 
-def _perfbench(sides: dict[str, Path], pairs: int, seconds: float, seed0: int) -> dict:
+def _perfbench(sides: dict[str, Path], seconds: float) -> dict:
     out = {}
     names = list(sides)
     for workload in WORKLOADS:
         runs = {side: [] for side in sides}
-        for k in range(pairs):
+        for k in range(PAIRS):
             order = names if k % 2 == 0 else names[::-1]
             for side in order:
                 cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-                       "--seed", str(seed0 + k), "--seconds", f"{seconds:g}", "--trace", "0"]
+                       "--seed", str(SEED0 + k), "--seconds", f"{seconds:g}", "--trace", "0"]
                 res = _last_json(cmd, sides[side], _env())
                 runs[side].append(res)
                 print(f"{workload} pair {k} {side}: op_ms {res['metrics']['op_ms']['value']:.3f}", file=sys.stderr)
-        entry = {"seeds": [seed0 + k for k in range(pairs)]}
+        entry = {"seeds": [SEED0 + k for k in range(PAIRS)]}
         for side, rs in runs.items():
             entry[side] = {
                 "correct": all(r["correct"] for r in rs),
@@ -170,13 +176,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--out", required=True, help="path of the JSON record to write")
-    ap.add_argument("--repeats", type=int, default=3, help="fresh-process runs per criterion and side")
-    ap.add_argument("--pairs", type=int, default=10, help="alternating base/change pairs per workload")
-    ap.add_argument("--seconds", type=float, default=30.0, help="length of each perfbench run")
-    ap.add_argument("--seed0", type=int, default=101, help="perfbench seed of the first pair")
     args = ap.parse_args()
-    if args.repeats < 1 or args.pairs < 1 or args.seconds <= 0:
-        ap.error("--repeats and --pairs must be >= 1 and --seconds > 0")
+    seconds = float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
 
     started = time.time()
     with tempfile.TemporaryDirectory() as tmp:
@@ -195,10 +196,10 @@ def main() -> int:
                 "numpy": np.__version__,
                 "machine": platform.machine(),
             },
-            "criteria": _criteria(sides, args.repeats),
+            "criteria": _criteria(sides),
             "perfbench": {
-                "seconds": args.seconds,
-                "workloads": _perfbench(sides, args.pairs, args.seconds, args.seed0),
+                "seconds": seconds,
+                "workloads": _perfbench(sides, seconds),
             },
         }
     record["wall_s"] = time.time() - started
