@@ -21,6 +21,7 @@ from .errors import DomainError, NotProperError, OrliczError
 from .functions import OrliczFunction
 from .sequences import SparseSequence, to_jsonable
 from .space import (
+    _require_constant,
     luxemburg_norm,
     luxemburg_norm_dense,
     modular,
@@ -64,7 +65,12 @@ class Objective:
     the domain ball included, and must give a float or +inf at each.  The
     engine evaluates f over its grid once per solve: through eval_grid when
     present, else through eval_dense in streamed chunks, else through eval
-    point by point on grids of at most 100,000 points.  lower_bound is a
+    point by point on grids of at most 100,000 points.  Each built-in
+    objective but the modular is f = from_norm(||x - c||) with one
+    from_norm behind all three evaluators, and every built-in eval is the
+    one-row result of its eval_dense, bit for bit on rows of up to 7
+    columns; from 8 on numpy's row sum goes pairwise, so a row's value may
+    differ in the last bits from its sparse sequence's.  lower_bound is a
     witness that the objective is bounded below; probe_points witness
     properness.  coercive is a caller assertion (the engine treats the
     objective as non-coercive unless told otherwise).
@@ -249,13 +255,7 @@ def construct_local_perturbation(
     nx = luxemburg_norm(M, x)
     if nx > K * (1.0 + 1e-9):
         raise DomainError(f"point norm {nx} exceeds the declared radius {K}")
-    C = M.delta2_constant
-    if C is None:
-        from .errors import Delta2RequiredError
-
-        raise Delta2RequiredError(
-            f"family {M.family_tag!r} carries no doubling constant"
-        )
+    C = _require_constant(M)
 
     delta = None
     power = 1.0
@@ -346,6 +346,7 @@ def perturb_minimize(
     if not math.isfinite(f.domain_radius) or f.domain_radius <= 0.0:
         raise DomainError("objective needs a positive finite domain_radius")
     f.assert_proper()
+    _require_constant(M)  # every round needs it: fail before the sweep
     # f does not change between rounds; only g_a does.
     base = _grid_values(f, oracle)
 

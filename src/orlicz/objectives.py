@@ -10,7 +10,7 @@ from .engine import GridOracle, Objective
 from .errors import DomainError
 from .functions import OrliczFunction
 from .sequences import SparseSequence, parse_sequence
-from .space import luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
+from .space import _FULL_PRECISION, luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
 
 __all__ = [
     "modular_objective",
@@ -21,32 +21,52 @@ __all__ = [
 ]
 
 
-def _norm_grid(M: OrliczFunction, dense, from_norm, center=None):
-    """eval_grid of f = from_norm(||x - center||) for a power family, else None.
+def _norm_objective(
+    M: OrliczFunction, from_norm, center: SparseSequence = SparseSequence(), **fields
+) -> Objective:
+    """The Objective f(x) = from_norm(||x - center||), all evaluators from one formula.
 
-    The norm is (sum_j s|x_j - c_j|^p)^(1/p), outer-summed from per-axis
-    terms.  These carry no row-max scaling, so when a nonzero difference
-    gives a term below the smallest normal float, or the largest sum is
-    infinite, the grid goes through the streamed dense path instead.
-    from_norm may overwrite the norms it is given.
+    from_norm maps an array of norms to f's values and may overwrite it.
+    eval_dense is from_norm of the dense norms of rows - center; eval is its
+    one-row result, from_norm of the scalar norm of x - center at the dense
+    kernel's tolerance.  For a power family, eval_grid outer-sums the
+    per-axis terms s|x_j - c_j|^p.  These carry no row-max scaling, so when
+    a nonzero difference gives a term below the smallest normal float, or
+    the largest sum is infinite, the grid goes through the streamed dense
+    path instead.  fields are the Objective's remaining fields.
     """
-    if M.power is None:
-        return None
-    root = 1.0 / M.power[0]
+
+    def shift(indices) -> np.ndarray:
+        if any(i not in indices for i in center.indices()):
+            raise DomainError(
+                "grid does not cover the support of z; widen the oracle's index set"
+            )
+        return np.array([center.value_at(i) for i in indices], dtype=float)
+
+    def evaluate(x: SparseSequence) -> float:
+        norm = luxemburg_norm(M, x - center, tol=_FULL_PRECISION)
+        return float(from_norm(np.array([norm]))[0])
+
+    def dense(rows: np.ndarray, indices) -> np.ndarray:
+        return from_norm(luxemburg_norm_dense(M, rows - shift(indices)))
 
     def eval_grid(oracle: GridOracle) -> np.ndarray:
-        shift = np.zeros(len(oracle.indices)) if center is None else center(oracle.indices)
-        diffs = {i: np.abs(oracle.axis - c) for i, c in zip(oracle.indices, shift)}
+        diffs = {i: np.abs(oracle.axis - c) for i, c in zip(oracle.indices, shift(oracle.indices))}
         with np.errstate(over="ignore"):
             terms = {i: np.asarray(M.eval(d), dtype=float) for i, d in diffs.items()}
         lost = any((terms[i][d > 0.0] < np.finfo(float).tiny).any() for i, d in diffs.items())
         if lost or not math.isfinite(sum(float(t.max()) for t in terms.values())):
             return oracle.evaluate(None, dense)
         norms = oracle.outer_sum(lambda axis, i: terms[i])
-        norms **= root
+        norms **= 1.0 / M.power[0]
         return from_norm(norms)
 
-    return eval_grid
+    return Objective(
+        eval=evaluate,
+        eval_dense=dense,
+        eval_grid=None if M.power is None else eval_grid,
+        **fields,
+    )
 
 
 def modular_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
@@ -72,31 +92,15 @@ def squared_distance_objective(
     nz = luxemburg_norm(M, z)
     if nz == 0.0:
         raise DomainError("target z must be nonzero; use the modular objective for 0")
-    dense_z_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def dense_z(indices) -> np.ndarray:
-        key = tuple(indices)
-        if any(i not in key for i, _ in z.entries):
-            raise DomainError(
-                "grid does not cover the support of z; widen the oracle's index set"
-            )
-        if key not in dense_z_cache:
-            dense_z_cache[key] = np.array([z.value_at(i) for i in indices], dtype=float)
-        return dense_z_cache[key]
 
     def squared(n: np.ndarray) -> np.ndarray:
         n *= n
         return n
 
-    def dense(rows: np.ndarray, indices) -> np.ndarray:
-        return squared(luxemburg_norm_dense(M, rows - dense_z(indices)[None, :]))
-
-    return Objective(
-        eval=lambda x: luxemburg_norm(M, x - z) ** 2,
+    return _norm_objective(
+        M, squared, z,
         domain_radius=2.0 * nz,
         lower_bound=0.0,
-        eval_dense=dense,
-        eval_grid=_norm_grid(M, dense, squared, center=dense_z),
         probe_points=(z, SparseSequence()),
         coercive=coercive,
     )
@@ -110,10 +114,6 @@ def shifted_ball_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
     standard stress case for the support construction.
     """
 
-    def evaluate(x: SparseSequence) -> float:
-        n = luxemburg_norm(M, x)
-        return 1.0 + n * n if n <= radius * (1.0 + 1e-12) else math.inf
-
     def from_norm(n: np.ndarray) -> np.ndarray:
         outside = n > radius * (1.0 + 1e-12)
         n *= n
@@ -121,34 +121,16 @@ def shifted_ball_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
         n[outside] = math.inf
         return n
 
-    def dense(rows: np.ndarray, indices) -> np.ndarray:
-        return from_norm(luxemburg_norm_dense(M, rows))
-
-    return Objective(
-        eval=evaluate,
-        domain_radius=radius,
-        lower_bound=1.0,
-        eval_dense=dense,
-        eval_grid=_norm_grid(M, dense, from_norm),
-        coercive=False,
-    )
+    return _norm_objective(M, from_norm, domain_radius=radius, lower_bound=1.0, coercive=False)
 
 
 def inverse_bump_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
     """f = b^-2 for the standard smooth bump b supported on the radius ball.
 
     b(x) = exp(1 - 1/(1 - (||x||/radius)^2)) inside, 0 outside, so f is
-    smooth inside, equals 1 at the center, and blows up at the boundary.
+    smooth inside, equals 1 at the center, and blows up at the boundary,
+    saturating to +inf where the true value exceeds the float range.
     """
-
-    def evaluate(x: SparseSequence) -> float:
-        r = luxemburg_norm(M, x) / radius
-        if r >= 1.0:
-            return math.inf
-        try:
-            return math.exp(2.0 / (1.0 - r * r) - 2.0)
-        except OverflowError:  # true value exceeds float range just inside the wall
-            return math.inf
 
     def from_norm(n: np.ndarray) -> np.ndarray:
         # exp(2/(1 - r^2) - 2) step by step in place, so that a whole grid
@@ -165,17 +147,7 @@ def inverse_bump_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
         n[~inside] = math.inf
         return n
 
-    def dense(rows: np.ndarray, indices) -> np.ndarray:
-        return from_norm(luxemburg_norm_dense(M, rows))
-
-    return Objective(
-        eval=evaluate,
-        domain_radius=radius,
-        lower_bound=1.0,
-        eval_dense=dense,
-        eval_grid=_norm_grid(M, dense, from_norm),
-        coercive=False,
-    )
+    return _norm_objective(M, from_norm, domain_radius=radius, lower_bound=1.0, coercive=False)
 
 
 def parse_objective(M: OrliczFunction, text: str) -> Objective:

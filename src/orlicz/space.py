@@ -79,7 +79,7 @@ def luxemburg_norm_dense(
     out = np.zeros(len(rows), dtype=float)
     for s in range(0, len(rows), _BLOCK_ROWS):
         a = np.abs(rows[s : s + _BLOCK_ROWS])
-        vmax = a.max(axis=1)
+        vmax = a.max(axis=1, initial=0.0)
         nz = vmax > 0.0
         if nz.all():
             out[s : s + len(a)] = _norm_block(M, a, vmax, tol)

@@ -88,8 +88,7 @@ class WitnessStats:
 
 def _draw(M: OrliczFunction, K: float, sampler, *objectives: Objective):
     """One sampler draw as a block whose column j is coordinate j + 1, each
-    objective's values and infimum where all are finite, and the draw as
-    sparse sequences if a scalar-only objective needed them (else None)."""
+    objective's values and infimum where all are finite."""
     rows, indices = sampler.dense_points(M, K)
     block = np.zeros((len(rows), max(indices)), dtype=float)
     block[:, np.asarray(indices) - 1] = rows
@@ -109,7 +108,7 @@ def _draw(M: OrliczFunction, K: float, sampler, *objectives: Objective):
     finite = np.logical_and.reduce([np.isfinite(v) for v in values])
     if not finite.any():
         raise NotProperError("no sampled point has a finite value")
-    return block, values, [float(v[finite].min()) for v in values], seqs
+    return block, values, [float(v[finite].min()) for v in values]
 
 
 def _trim(rows: np.ndarray) -> np.ndarray:
@@ -128,12 +127,9 @@ def sublevel_sample(
     """Points of the sample within eps of the sampled infimum over K*B."""
     if eps < 0.0:
         raise DomainError(f"level eps must be >= 0, got {eps}")
-    block, (values,), (inf_sample,), seqs = _draw(M, K, sampler, f)
+    block, (values,), (inf_sample,) = _draw(M, K, sampler, f)
     chosen = values <= inf_sample + eps
-    if seqs is None:
-        points = dense_to_sequences(block[chosen], range(1, block.shape[1] + 1))
-    else:
-        points = [p for p, keep in zip(seqs, chosen) if keep]
+    points = dense_to_sequences(block[chosen], range(1, block.shape[1] + 1))
     return SublevelSample(
         level=eps, points=tuple(points), inf_sample=inf_sample,
         sampler_spec=sampler.describe(),
@@ -209,7 +205,7 @@ def intersection_lemma_check(
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be > 0, got {delta}")
-    _, (fv, gv), (inf_f, inf_g), _ = _draw(M, K, sampler, f, g)
+    _, (fv, gv), (inf_f, inf_g) = _draw(M, K, sampler, f, g)
     both = fv + gv
     inf_fg = both[np.isfinite(fv) & np.isfinite(gv)].min()
     hypothesis = (fv <= inf_f + delta) & (gv <= inf_g + delta)
@@ -250,7 +246,7 @@ def wpmc_diagnose(
     if any(a <= b for a, b in zip(levels, levels[1:])):
         raise DomainError("levels must be strictly decreasing")
 
-    block, (values,), (inf_sample,), _ = _draw(M, K, sampler, f)
+    block, (values,), (inf_sample,) = _draw(M, K, sampler, f)
 
     alphas = []
     diams = []

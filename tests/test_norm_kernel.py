@@ -19,6 +19,7 @@ from orlicz import (
     luxemburg_norm,
     luxemburg_norm_dense,
     make_non_delta2,
+    modular_dense,
     parse_family,
 )
 
@@ -140,6 +141,15 @@ def test_extreme_magnitudes_stay_finite_and_homogeneous(tag, scale):
     n = luxemburg_norm(M, seq)
     assert np.isfinite(n) and n > 0.0
     assert rel_err(n, scale * luxemburg_norm(M, seq.scale(1.0 / scale))) <= 1e-12
+
+
+@pytest.mark.parametrize("tag", POWER_TAGS + ("non-delta2",))
+def test_zero_width_rows_have_norm_zero(tag):
+    M = parse_family(tag)
+    empty = np.zeros((3, 0))
+    np.testing.assert_array_equal(luxemburg_norm_dense(M, empty), np.zeros(3))
+    np.testing.assert_array_equal(modular_dense(M, empty), np.zeros(3))
+    assert luxemburg_norm(M, SparseSequence()) == 0.0
 
 
 @pytest.mark.parametrize("tag", ("power:1.5", "non-delta2"))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orlicz import (
     DomainError,
@@ -11,6 +13,7 @@ from orlicz import (
     make_power,
     modular,
     modular_objective,
+    parse_family,
     parse_objective,
     shifted_ball_objective,
     squared_distance_objective,
@@ -87,3 +90,44 @@ def test_parse_objective_forms():
         parse_objective(M2, "himalaya")
     with pytest.raises(DomainError):
         parse_objective(M2, "sqdist:")  # zero target
+
+
+# Rows stop at 7 columns: from 8 on, numpy's row sum goes pairwise, so even
+# the modular of a sequence may differ from the modular of its dense row in
+# the last bits (see GridOracle.outer_sum).
+row_values = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=-1.5, max_value=1.5)), min_size=1, max_size=7
+)
+
+
+@given(
+    tag=st.sampled_from(("power:1", "power:1.5", "power:2", "power:3", "non-delta2")),
+    name=st.sampled_from(("modular", "sqdist", "ball-quad", "bump-inv")),
+    radius=st.sampled_from((0.5, 0.9, 1.0, 2.0)),
+    values=row_values,
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_scalar_eval_is_the_dense_row(tag, name, radius, values, data):
+    """f.eval is the one-row result of f.eval_dense, bit for bit."""
+    M = parse_family(tag)
+    indices = tuple(range(1, len(values) + 1))
+    if name == "sqdist":
+        z = SparseSequence.from_values(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0)),
+            min_size=len(values), max_size=len(values),
+        )))
+        assume(z)
+        f = squared_distance_objective(M, z)
+    elif name == "modular":
+        f = modular_objective(M, radius)
+    elif name == "ball-quad":
+        f = shifted_ball_objective(M, radius)
+    else:
+        f = inverse_bump_objective(M, radius)
+    block = np.array([values, [0.0] * len(values)])
+    dense = f.eval_dense(block, indices)
+    assert f.eval(SparseSequence.from_values(values)) == dense[0]
+    assert f.eval(SparseSequence()) == dense[1]
+    if name != "sqdist":  # z's support needs columns
+        assert f.eval(SparseSequence()) == f.eval_dense(np.zeros((1, 0)), ())[0]

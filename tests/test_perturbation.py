@@ -284,6 +284,18 @@ def test_minimize_validation_and_properness():
         perturb_minimize(M2, lying, 0.1, small_oracle())
 
 
+def test_minimize_without_doubling_constant_fails_before_the_sweep():
+    def untouchable(*args):
+        raise AssertionError("the grid was evaluated")
+
+    f = Objective(
+        eval=lambda x: 0.0, domain_radius=1.0, lower_bound=0.0,
+        eval_dense=untouchable, eval_grid=untouchable,
+    )
+    with pytest.raises(Delta2RequiredError):
+        perturb_minimize(make_non_delta2(), f, 0.1, small_oracle())
+
+
 # ---------------------------------------------------------------- support
 
 

@@ -16,6 +16,10 @@ directory.  The record holds:
   pairs on seeds SEED0, SEED0 + 1, ... (the side that runs first
   alternates too), with each end-to-end metric per run, the medians and
   quartiles, and the pairs the change won;
+- the eight command-line invocations of the README: each run REPEATS times
+  per side in fresh processes, the side that runs first alternating, with
+  the median wall time, the exit codes, and whether every stdout is
+  byte-identical to the base's;
 - the host: `nproc`, the Python and numpy versions.
 
 Runs go one at a time, with BLAS and OpenMP capped at one thread and
@@ -28,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -114,12 +119,17 @@ def _summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2], "runs": values}
 
 
+def _in_turn(sides: dict[str, Path], k: int) -> list[tuple[str, Path]]:
+    """The sides in the order of run k: the side that runs first alternates."""
+    return list(sides.items())[:: 1 if k % 2 == 0 else -1]
+
+
 def _criteria(sides: dict[str, Path]) -> dict:
     out = {}
     for name in ("07", "08"):
         runs = {side: [] for side in sides}
         for k in range(REPEATS):
-            for side, tree in list(sides.items())[:: 1 if k % 2 == 0 else -1]:
+            for side, tree in _in_turn(sides, k):
                 runs[side].append(_last_json([sys.executable, "-c", CRITERION, name], tree, _env(tree / "src")))
                 print(f"criterion {name} {side}: {runs[side][-1]['seconds']:.3f} s", file=sys.stderr)
         out[name] = {}
@@ -134,17 +144,44 @@ def _criteria(sides: dict[str, Path]) -> dict:
     return out
 
 
+def _readme_invocations() -> list[list[str]]:
+    """The arguments of each `orlicz ...` line of the README, continuations joined."""
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("orlicz ")]
+
+
+def _cli(sides: dict[str, Path]) -> dict:
+    out = {}
+    for args in _readme_invocations():
+        runs = {side: [] for side in sides}
+        for k in range(REPEATS):
+            for side, tree in _in_turn(sides, k):
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-m", "orlicz.cli", *args],
+                                      cwd=tree, env=_env(tree / "src"), capture_output=True)
+                runs[side].append((time.perf_counter() - start, proc.returncode, proc.stdout))
+        print(f"cli {args[0]}: " + ", ".join(f"{side} {rs[-1][0]:.3f} s" for side, rs in runs.items()), file=sys.stderr)
+        base_stdout = runs["base"][0][2]
+        out[shlex.join(args)] = {
+            side: {
+                "wall_s": _summary([r[0] for r in rs]),
+                "exit_codes": sorted({r[1] for r in rs}),
+                "stdout_identical_to_base": all(r[2] == base_stdout for r in rs),
+            }
+            for side, rs in runs.items()
+        }
+    return out
+
+
 def _perfbench(sides: dict[str, Path], seconds: float) -> dict:
     out = {}
-    names = list(sides)
     for workload in WORKLOADS:
         runs = {side: [] for side in sides}
         for k in range(PAIRS):
-            order = names if k % 2 == 0 else names[::-1]
-            for side in order:
+            for side, tree in _in_turn(sides, k):
                 cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
                        "--seed", str(SEED0 + k), "--seconds", f"{seconds:g}", "--trace", "0"]
-                res = _last_json(cmd, sides[side], _env())
+                res = _last_json(cmd, tree, _env())
                 runs[side].append(res)
                 print(f"{workload} pair {k} {side}: op_ms {res['metrics']['op_ms']['value']:.3f}", file=sys.stderr)
         entry = {"seeds": [SEED0 + k for k in range(PAIRS)]}
@@ -197,6 +234,7 @@ def main() -> int:
                 "machine": platform.machine(),
             },
             "criteria": _criteria(sides),
+            "cli": _cli(sides),
             "perfbench": {
                 "seconds": seconds,
                 "workloads": _perfbench(sides, seconds),
