@@ -10,7 +10,7 @@ from .engine import GridOracle, Objective
 from .errors import DomainError
 from .functions import OrliczFunction
 from .sequences import SparseSequence, parse_sequence
-from .space import _FULL_PRECISION, luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
+from .space import luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
 
 __all__ = [
     "modular_objective",
@@ -28,8 +28,8 @@ def _norm_objective(
 
     from_norm maps an array of norms to f's values and may overwrite it.
     eval_dense is from_norm of the dense norms of rows - center; eval is its
-    one-row result, from_norm of the scalar norm of x - center at the dense
-    kernel's tolerance.  For a power family, eval_grid outer-sums the
+    one-row result, from_norm of the scalar norm of x - center (whose default
+    tolerance is the dense kernel's).  For a power family, eval_grid outer-sums the
     per-axis terms s|x_j - c_j|^p.  These carry no row-max scaling, so when
     a nonzero difference gives a term below the smallest normal float, or
     the largest sum is infinite, the grid goes through the streamed dense
@@ -44,7 +44,7 @@ def _norm_objective(
         return np.array([center.value_at(i) for i in indices], dtype=float)
 
     def evaluate(x: SparseSequence) -> float:
-        norm = luxemburg_norm(M, x - center, tol=_FULL_PRECISION)
+        norm = luxemburg_norm(M, x - center)
         return float(from_norm(np.array([norm]))[0])
 
     def dense(rows: np.ndarray, indices) -> np.ndarray:

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 _NORM_MAX_ITER = 200
-# Machine epsilon: the dense norm's default tolerance is full double precision.
+# Machine epsilon: the norms' default tolerance is full double precision.
 _FULL_PRECISION = 2.0 ** -52
 # Rows per block of the dense norm, which bounds the size of its temporaries.
 _BLOCK_ROWS = 1024
@@ -39,9 +39,12 @@ def modular(M: OrliczFunction, x: SparseSequence) -> float:
     return float(modular_dense(M, np.array(x.values(), dtype=float))[0])
 
 
-def luxemburg_norm(M: OrliczFunction, x: SparseSequence, tol: float = 1e-12) -> float:
+def luxemburg_norm(
+    M: OrliczFunction, x: SparseSequence, tol: float = _FULL_PRECISION
+) -> float:
     """Gauge of the modular unit ball: a one-row call of the dense kernel.
 
+    With the default tol it equals luxemburg_norm_dense of the same row.
     tol bounds the relative size of the last Newton step, or the relative
     bracket width when M has no derivative and the kernel bisects.
     """
@@ -141,13 +144,16 @@ def _bisect(M: OrliczFunction, a: np.ndarray, hi: np.ndarray, tol: float) -> np.
     else:
         raise OrliczError("bracketing failed: sigma(x/rho) stayed above 1")
     lo = hi / 2.0
+    live = np.arange(len(hi))
     for _ in range(_NORM_MAX_ITER):
-        if (hi - lo <= tol * hi).all():
+        # Each row stops at its own width, so its norm does not depend on its block.
+        live = live[hi[live] - lo[live] > tol * hi[live]]
+        if not live.size:
             break
-        mid = 0.5 * (lo + hi)
-        above = _sigma(M, a, mid) > 1.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+        mid = 0.5 * (lo[live] + hi[live])
+        above = _sigma(M, a[live], mid) > 1.0
+        lo[live[above]] = mid[above]
+        hi[live[~above]] = mid[~above]
     return 0.5 * (lo + hi)
 
 

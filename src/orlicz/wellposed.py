@@ -19,7 +19,7 @@ from .errors import DomainError, NotProperError, OrliczError
 from .functions import OrliczFunction
 from .sampling import dense_to_sequences
 from .sequences import SparseSequence, to_jsonable
-from .space import luxemburg_norm, luxemburg_norm_dense, modular
+from .space import luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
 
 __all__ = [
     "SublevelSample",
@@ -36,6 +36,13 @@ __all__ = [
 VERDICT_WPMC = "looks-wpmc"
 VERDICT_NOT_WPMC = "looks-not-wpmc"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+# Relative margin of the modular tests that let the covering radius and the
+# diameter skip norm solves: a row whose norm ties the test's radius within
+# rounding still gets the exact solve.
+_PRUNE_MARGIN = 1e-9
+# Pairs per chunk of those modular tests, which bounds their temporaries.
+_PRUNE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,13 @@ def kuratowski_estimate(
 
 
 def _covering_radius(rows: np.ndarray, M: OrliczFunction, max_centers: int) -> float:
-    """kuratowski_estimate on a nonempty block whose column j is coordinate j + 1."""
+    """kuratowski_estimate on a nonempty block whose column j is coordinate j + 1.
+
+    A new center c can lower dist[i] only if ||x_i - c|| <= dist[i].  Since
+    ||d|| > rho exactly when sigma(d/rho) > 1, one modular pass at
+    rho = dist (1 + margin) finds the rows farther from c than that; they
+    keep their distance without a norm solve, and the rest are solved.
+    """
     if max_centers < 1:
         raise DomainError(f"max_centers must be >= 1, got {max_centers}")
     # dist[i] = distance from point i to its nearest chosen center
@@ -171,20 +184,65 @@ def _covering_radius(rows: np.ndarray, M: OrliczFunction, max_centers: int) -> f
         far = int(np.argmax(dist))  # argmax takes the first maximum: lowest index wins ties
         if dist[far] == 0.0:
             break
-        dist = np.minimum(dist, luxemburg_norm_dense(M, rows - rows[far]))
+        live = np.flatnonzero(dist > 0.0)
+        sigma = _pair_modular(M, rows, live, far, dist[live] * (1.0 + _PRUNE_MARGIN))
+        live = live[~(sigma > 1.0)]  # NaN gets the exact solve
+        dist[live] = np.minimum(dist[live], luxemburg_norm_dense(M, rows[live] - rows[far]))
     return float(dist.max())
 
 
 def _diam_estimate(rows: np.ndarray, M: OrliczFunction, cap: int = 200) -> float:
-    """Largest pairwise distance among at most cap rows of the block."""
+    """Largest pairwise distance among at most cap rows of the block.
+
+    Equal to the largest norm over all pairs, from few norm solves.  Given
+    the norm r of one pair, another pair's norm beats r only if its
+    triangle bound ||x_i|| + ||x_j|| reaches r and its difference d has
+    sigma(d/r) > 1 (margin included).  r comes from the pair with the
+    largest bound, then from the surviving pair with the largest sigma,
+    and only the pairs that survive both are solved.  A row's norm does not
+    depend on the other rows of its block, so each solved pair gives the
+    float the full pairwise block gives it.
+    """
     if len(rows) < 2:
         return 0.0
     if len(rows) > cap:
         # Evenly spaced over the whole block, first and last kept: samplers
         # append their special points (zero, witnesses) at the end.
         rows = _trim(rows[np.rint(np.linspace(0, len(rows) - 1, cap)).astype(int)])
+    norms = luxemburg_norm_dense(M, rows)
     ii, jj = np.triu_indices(len(rows), k=1)
-    return float(luxemburg_norm_dense(M, rows[ii] - rows[jj]).max())
+    bound = norms[ii] + norms[jj]
+    pairs = np.arange(len(ii))
+    pick = int(np.argmax(bound))
+    r = 0.0
+    for _ in range(2):
+        r = max(r, float(luxemburg_norm_dense(M, rows[ii[pick]] - rows[jj[pick]])[0]))
+        if r == 0.0:  # no radius to test: every pair is solved
+            break
+        reach = r * (1.0 - _PRUNE_MARGIN)
+        pairs = pairs[bound[pairs] >= reach]
+        sigma = _pair_modular(M, rows, ii[pairs], jj[pairs], reach)
+        keep = ~(sigma <= 1.0)  # NaN gets the exact solve
+        pairs, sigma = pairs[keep], sigma[keep]
+        if not pairs.size:
+            return r
+        pick = int(pairs[np.argmax(sigma)])
+    return max(r, float(luxemburg_norm_dense(M, rows[ii[pairs]] - rows[jj[pairs]]).max()))
+
+
+def _pair_modular(M: OrliczFunction, rows: np.ndarray, ii, jj, rho) -> np.ndarray:
+    """sigma((rows[ii] - rows[jj]) / rho) pair by pair, _PRUNE_CHUNK pairs at a time.
+
+    jj and rho broadcast against ii, and rho > 0; a term that overflows reads inf.
+    """
+    jj = np.broadcast_to(jj, ii.shape)
+    rho = np.broadcast_to(rho, ii.shape)
+    out = np.empty(len(ii), dtype=float)
+    with np.errstate(over="ignore"):
+        for s in range(0, len(ii), _PRUNE_CHUNK):
+            c = slice(s, s + _PRUNE_CHUNK)
+            out[c] = modular_dense(M, (rows[ii[c]] - rows[jj[c]]) / rho[c, None])
+    return out
 
 
 def intersection_lemma_check(

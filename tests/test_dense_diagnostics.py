@@ -3,13 +3,17 @@
 The reference below is the earlier implementation, kept here: the sampler
 draw converted to sparse sequences (random points, then zero, then the
 extra points), f.eval called point by point, and every covering or
-diameter estimate built from the chosen sequences by `ref_block`.
+diameter estimate built from the chosen sequences by `ref_block`, with a
+norm solve for every pair and every (point, center).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz import (
     BallSampler,
@@ -33,6 +37,7 @@ from orlicz.wellposed import (
     IntersectionCheck,
     SublevelSample,
     WellPosednessReport,
+    _covering_radius,
     _dense_block,
     _diam_estimate,
 )
@@ -246,3 +251,106 @@ def test_objective_whose_dense_evaluator_refuses_the_block_falls_back():
     values = [f.eval(p) for p in pts]
     assert sublevel_sample(M, f, 1.0, 0.01, sampler) == ref_sublevel(pts, values, 0.01, sampler)
     assert wpmc_diagnose(M, f, 1.0, LEVELS, sampler) == ref_wpmc(M, pts, values, LEVELS, sampler)
+
+
+# -- the pruned covering radius and diameter against every pairwise solve ----
+
+PRUNE_FAMILIES = {
+    "power:1": make_power(1.0),
+    "power:1.5": make_power(1.5),
+    "power:2": make_power(2.0),
+    "non-delta2": make_non_delta2(),
+    # Neither closed form nor derivative: the norm kernel bisects.
+    "non-delta2/bisect": dataclasses.replace(make_non_delta2(), power=None, deriv1=None),
+    "power:1.5/bisect": dataclasses.replace(make_power(1.5), power=None, deriv1=None),
+}
+
+
+def _assert_pruned_match_reference(pts, M):
+    rows = ref_block(pts)
+    assert _diam_estimate(rows, M) == ref_diam(pts, M)
+    for centers in (1, 2, 3, 8):
+        assert _covering_radius(rows, M, centers) == ref_kuratowski(pts, M, centers)
+
+
+# Few distinct magnitudes, so that duplicate rows and tied norms come up often.
+_entries = st.one_of(
+    st.just(0.0),
+    st.sampled_from((0.25, -0.25, 0.5, -0.5, 1.0)),
+    st.floats(min_value=1e-3, max_value=2.0).flatmap(lambda v: st.sampled_from((v, -v))),
+)
+
+
+@st.composite
+def _point_lists(draw):
+    width = draw(st.integers(min_value=1, max_value=9))
+    pts = draw(st.lists(
+        st.lists(_entries, min_size=width, max_size=width), min_size=1, max_size=10,
+    ))
+    pts += [pts[i] for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3))]
+    return [SparseSequence.from_values(p) for p in pts]
+
+
+@pytest.mark.parametrize("family", PRUNE_FAMILIES)
+@given(pts=_point_lists())
+@settings(max_examples=60, deadline=None)
+def test_pruned_estimates_equal_every_pairwise_solve(family, pts):
+    _assert_pruned_match_reference(pts, PRUNE_FAMILIES[family])
+
+
+def _special_cases():
+    rng = np.random.default_rng(11)
+    e = [SparseSequence.from_pairs([(j, 1.0)]) for j in (1, 2, 3)]
+    x = SparseSequence.from_values(rng.standard_normal(5))
+    wide = [SparseSequence.from_values(v) for v in rng.standard_normal((240, 6)) * 0.1]
+    return {
+        "two rows": [x, e[0]],
+        "one row": [x],
+        "duplicate rows": [x, x, x],
+        "all zero": [SparseSequence()] * 4,
+        "zero and one point": [SparseSequence(), x, SparseSequence(), x],
+        # Every pair of +-e_j is at the largest distance.
+        "ties at the maximum": [e[0], e[0].scale(-1.0), e[1], e[1].scale(-1.0), e[2]],
+        # The two largest norms belong to equal rows, so the first pair
+        # solved has norm 0 and nothing can be pruned.
+        "largest norms duplicated": [x.scale(3.0), x.scale(3.0), x, e[0], e[1]],
+        # Over the 200-row cap, the far point last.
+        "over the cap": wide + [e[2].scale(4.0)],
+        "over the cap, all equal": [x] * 230,
+    }
+
+
+@pytest.mark.parametrize("family", PRUNE_FAMILIES)
+@pytest.mark.parametrize("case", list(_special_cases()))
+def test_pruned_estimates_on_special_blocks(family, case):
+    _assert_pruned_match_reference(_special_cases()[case], PRUNE_FAMILIES[family])
+
+
+def test_pruning_skips_most_newton_solves():
+    # The diagnose workload of the benchmark: the non-delta2 modular, 100
+    # samples with the plateau witnesses, three levels, 8 centers.  Count
+    # the elements Newton's derivative pass sees, here and in the reference,
+    # which solves every pair and every (point, center).
+    M = make_non_delta2()
+    seen = [0]
+
+    def counting(t):
+        seen[0] += np.size(t)
+        return M.deriv1(t)
+
+    MC = dataclasses.replace(M, deriv1=counting)
+    f = parse_objective(M, "modular")
+    levels = (0.25, 0.0625, 0.015625)
+    for seed in (7, 12345):
+        sampler = BallSampler(
+            seed=seed, count=100, support_size=6, index_range=40, decades=4.0,
+            extra=_witnesses(),
+        )
+        seen[0] = 0
+        got = wpmc_diagnose(MC, f, 1.0, levels, sampler, max_centers=8)
+        pruned = seen[0]
+        seen[0] = 0
+        pts = ref_points(sampler, MC, 1.0)
+        want = ref_wpmc(MC, pts, [f.eval(p) for p in pts], levels, sampler, 8)
+        assert got == want
+        assert pruned <= 0.2 * seen[0], (seed, pruned, seen[0])

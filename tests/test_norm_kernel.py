@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orlicz.space as space
@@ -194,3 +194,32 @@ def test_missing_derivative_goes_through_bisection(tag, monkeypatch):
         assert rel_err(n, reference_norm(M, row)) <= 1e-12
     luxemburg_norm(newton_only(parse_family(tag)), SparseSequence.from_pairs([(1, 1.0)]))
     assert calls == [30]
+
+
+@given(values=st.lists(st.one_of(signed, st.just(0.0)), min_size=1, max_size=7))
+@example(values=[1.0625, 1.34375, 1.34375])
+@settings(max_examples=200, deadline=None)
+def test_scalar_norm_is_the_dense_row(values):
+    # Both norms default to full precision, so on a Newton family the scalar
+    # norm of a sequence is its dense row's norm bit for bit.  Up to 7
+    # columns numpy sums a row left to right, so the row's zeros, which the
+    # sequence drops, change no partial sum.
+    seq = SparseSequence.from_values(values)
+    assert luxemburg_norm(MN, seq) == luxemburg_norm_dense(MN, np.array(values))[0]
+
+
+@pytest.mark.parametrize("tag", ("power:1.5", "non-delta2"))
+def test_bisection_row_does_not_depend_on_its_block(tag):
+    # Each row stops bisecting at its own bracket width, so a row solved
+    # alone, or within any subset of its block, gives the same float.
+    # On a power family the row (2, 0, ...) brackets its norm exactly
+    # and is done long before the random rows.
+    M = bisection_only(parse_family(tag))
+    rng = np.random.default_rng(8)
+    block = rng.standard_normal((300, 6)) * rng.uniform(0.01, 10.0, size=(300, 1))
+    block[0] = 0.0
+    block[0, 0] = 2.0
+    norms = luxemburg_norm_dense(M, block)
+    for i in (0, 7, 150, 299):
+        assert luxemburg_norm_dense(M, block[i])[0] == norms[i]
+    np.testing.assert_array_equal(luxemburg_norm_dense(M, block[::7]), norms[::7])

@@ -20,10 +20,15 @@ directory.  The record holds:
   per side in fresh processes, the side that runs first alternating, with
   the median wall time, the exit codes, and whether every stdout is
   byte-identical to the base's;
+- the wellposed determinism set: `orlicz wellposed --family non-delta2`
+  once per ORLICZ_SEED in WELLPOSED_SEEDS on each side, at the CLI's
+  defaults and with each other argument set of WELLPOSED_ARGS, with the
+  median wall time, the exit codes, and whether every stdout is
+  byte-identical to the base's for the same seed;
 - the host: `nproc`, the Python and numpy versions.
 
 Runs go one at a time, with BLAS and OpenMP capped at one thread and
-ORLICZ_SEED unset, so two cores suffice.
+ORLICZ_SEED unset outside the wellposed set, so two cores suffice.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ WORKLOADS = ("grid", "diagnose", "cli-light")
 REPEATS = 5
 PAIRS = 10
 SEED0 = 200
+# The wellposed determinism set: seeds, and the argument sets after the family.
+WELLPOSED_SEEDS = range(10)
+WELLPOSED_ARGS = ((), ("--samples", "100", "--levels", "0.25,0.0625,0.015625"))
 # Direction of each perfbench end-to-end metric, as BENCHMARK.json declares it.
 LOWER_IS_BETTER = {"setup_s": True, "op_ms": True, "ops_per_s": False, "peak_rss_mb": True}
 THREAD_VARS = (
@@ -150,25 +158,52 @@ def _readme_invocations() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("orlicz ")]
 
 
+def _run_cli(tree: Path, args: list[str], seed: int | None = None) -> tuple[float, int, bytes]:
+    """Wall seconds, exit code and stdout of one `orlicz` run in a fresh process."""
+    env = _env(tree / "src")
+    if seed is not None:
+        env["ORLICZ_SEED"] = str(seed)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "orlicz.cli", *args], cwd=tree, env=env, capture_output=True)
+    return time.perf_counter() - start, proc.returncode, proc.stdout
+
+
+def _cli_entry(runs: dict[str, list], base_stdouts: list[bytes]) -> dict:
+    """Each side's runs, the stdout of run k compared with base_stdouts[k]."""
+    return {
+        side: {
+            "wall_s": _summary([r[0] for r in rs]),
+            "exit_codes": sorted({r[1] for r in rs}),
+            "stdout_identical_to_base": all(r[2] == b for r, b in zip(rs, base_stdouts)),
+        }
+        for side, rs in runs.items()
+    }
+
+
 def _cli(sides: dict[str, Path]) -> dict:
     out = {}
     for args in _readme_invocations():
         runs = {side: [] for side in sides}
         for k in range(REPEATS):
             for side, tree in _in_turn(sides, k):
-                start = time.perf_counter()
-                proc = subprocess.run([sys.executable, "-m", "orlicz.cli", *args],
-                                      cwd=tree, env=_env(tree / "src"), capture_output=True)
-                runs[side].append((time.perf_counter() - start, proc.returncode, proc.stdout))
+                runs[side].append(_run_cli(tree, args))
         print(f"cli {args[0]}: " + ", ".join(f"{side} {rs[-1][0]:.3f} s" for side, rs in runs.items()), file=sys.stderr)
-        base_stdout = runs["base"][0][2]
+        out[shlex.join(args)] = _cli_entry(runs, [runs["base"][0][2]] * REPEATS)
+    return out
+
+
+def _wellposed(sides: dict[str, Path]) -> dict:
+    out = {}
+    for extra in WELLPOSED_ARGS:
+        args = ["wellposed", "--family", "non-delta2", *extra]
+        runs = {side: [] for side in sides}
+        for seed in WELLPOSED_SEEDS:
+            for side, tree in _in_turn(sides, seed):
+                runs[side].append(_run_cli(tree, args, seed))
+            print(f"{shlex.join(args)} seed {seed}: " + ", ".join(f"{side} {rs[-1][0]:.3f} s" for side, rs in runs.items()), file=sys.stderr)
         out[shlex.join(args)] = {
-            side: {
-                "wall_s": _summary([r[0] for r in rs]),
-                "exit_codes": sorted({r[1] for r in rs}),
-                "stdout_identical_to_base": all(r[2] == base_stdout for r in rs),
-            }
-            for side, rs in runs.items()
+            "seeds": list(WELLPOSED_SEEDS),
+            **_cli_entry(runs, [r[2] for r in runs["base"]]),
         }
     return out
 
@@ -235,6 +270,7 @@ def main() -> int:
             },
             "criteria": _criteria(sides),
             "cli": _cli(sides),
+            "wellposed": _wellposed(sides),
             "perfbench": {
                 "seconds": seconds,
                 "workloads": _perfbench(sides, seconds),
