@@ -28,9 +28,9 @@ def _norm_objective(
 
     from_norm maps an array of norms to f's values and may overwrite it.
     eval_dense is from_norm of the dense norms of rows - center; eval is its
-    one-row result, from_norm of the scalar norm of x - center (whose default
-    tolerance is the dense kernel's).  For a power family, eval_grid outer-sums the
-    per-axis terms s|x_j - c_j|^p.  These carry no row-max scaling, so when
+    one-row result, from_norm of the scalar norm of x - center, whose default
+    tolerance is the dense kernel's.  For a power family, eval_grid outer-sums
+    the per-axis terms s|x_j - c_j|^p.  These carry no row-max scaling, so when
     a nonzero difference gives a term below the smallest normal float, or
     the largest sum is infinite, the grid goes through the streamed dense
     path instead.  fields are the Objective's remaining fields.
