@@ -1,12 +1,13 @@
 """Command-line experiment runner.
 
-One config file per run (flat JSON); command-line flags override config
-fields, and ORLICZ_SEED overrides the seed last of all.  Every command is
-deterministic given its effective config: reports are JSON trees with
-sorted keys, CSV exports carry a schema header, and outputs embed the
-effective config for provenance.  Exit codes: 0 success, 1 not converged
-or inconclusive, 2 invalid input, exhausted memory or a floating-point
-failure.
+One config file per run (flat JSON) may set any field; command-line flags
+override it, and ORLICZ_SEED overrides the seed last of all.  A subcommand
+takes --config, --out and one flag per field it reads, and refuses others.
+Every command is deterministic given its effective config: reports are JSON
+trees with sorted keys, CSV exports carry a schema header, and outputs
+embed the effective config for provenance.  Exit codes: 0 success, 1 not
+converged or inconclusive, 2 invalid input, exhausted memory or a
+floating-point failure.
 """
 
 from __future__ import annotations
@@ -46,41 +47,42 @@ CSV_SCHEMA = "#schema=1"
 _JSON_KINDS = {float: "a number", int: "an integer", str: "a string"}
 
 
-def _flag(default, help_text: str):
-    """A config field whose default also fixes its flag's type."""
-    return dataclasses.field(default=default, metadata={"help": help_text})
+def _flag(default, help_text: str, commands: str = ""):
+    """A config field whose default also fixes its flag's type; its flag goes
+    on the subcommands named in commands, or on every one when it is empty."""
+    return dataclasses.field(default=default, metadata={"help": help_text, "commands": commands.split()})
 
 
 @dataclass
 class ExperimentConfig:
-    """Flat run configuration; every command reads the fields it needs, and
-    every field is also a command-line flag of every subcommand."""
+    """Flat run configuration.  A config file may set every field; a field is a
+    command-line flag only of the subcommands that read it."""
 
     family: str = _flag("power:2", "function family, e.g. power:1.5 or non-delta2")
-    seed: int = _flag(12345, "sampler seed (ORLICZ_SEED overrides)")
-    sequence: str = _flag("", "sparse sequence literal i1:v1,i2:v2")
-    objective: str = _flag("modular", "objective literal, e.g. modular or sqdist:1:0.3")
-    radius: float = _flag(1.0, "working ball radius K")
-    eps: float = _flag(0.1, "perturbation budget")
-    delta_lo: float = _flag(1.0, "support floor")
-    eps_hi: float = _flag(2.0, "support ceiling")
-    budget: int = _flag(50, "iteration budget")
-    norm_tol: float = _flag(1e-12, "relative tolerance of the norm solver")
-    grid_dims: int = _flag(3, "number of leading grid coordinates")
-    grid_step: float = _flag(0.05, "grid spacing")
-    grid_radius: float = _flag(1.0, "grid half-width")
-    levels: str = _flag("", "comma list of sublevel heights")
-    scales: str = _flag("1e-2,1e-3,1e-4,1e-5,1e-6", "comma list of probe scales")
-    probe: str = _flag("l1", "probe spec: l1, growth:p, curvature[:mode]")
-    k: int = _flag(10, "witness index")
-    k_max: int = _flag(5, "growth-probe bound count")
-    samples: int = _flag(400, "sampler draw count")
-    support_size: int = _flag(6, "sampler support size")
-    index_range: int = _flag(40, "sampler index range")
-    decades: float = _flag(4.0, "sampler radial decades")
-    max_centers: int = _flag(8, "covering centers for the compactness proxy")
+    seed: int = _flag(12345, "sampler seed (ORLICZ_SEED overrides)", "wellposed")
+    sequence: str = _flag("", "sparse sequence literal i1:v1,i2:v2", "norm probe")
+    objective: str = _flag("modular", "objective literal, e.g. modular or sqdist:1:0.3", "solve support wellposed")
+    radius: float = _flag(1.0, "working ball radius K", "wellposed")
+    eps: float = _flag(0.1, "perturbation budget", "solve")
+    delta_lo: float = _flag(1.0, "support floor", "support")
+    eps_hi: float = _flag(2.0, "support ceiling", "support")
+    budget: int = _flag(50, "iteration budget", "solve support")
+    norm_tol: float = _flag(1e-12, "relative tolerance of the norm solver", "norm")
+    grid_dims: int = _flag(3, "number of leading grid coordinates", "solve support")
+    grid_step: float = _flag(0.05, "grid spacing", "solve support")
+    grid_radius: float = _flag(1.0, "grid half-width", "solve support")
+    levels: str = _flag("", "comma list of sublevel heights", "wellposed")
+    scales: str = _flag("1e-2,1e-3,1e-4,1e-5,1e-6", "comma list of probe scales", "probe")
+    probe: str = _flag("l1", "probe spec: l1, growth:p, curvature[:mode]", "probe")
+    k: int = _flag(10, "witness index", "witness")
+    k_max: int = _flag(5, "growth-probe bound count", "probe classify")
+    samples: int = _flag(400, "sampler draw count", "wellposed")
+    support_size: int = _flag(6, "sampler support size", "wellposed")
+    index_range: int = _flag(40, "sampler index range", "wellposed")
+    decades: float = _flag(4.0, "sampler radial decades", "wellposed")
+    max_centers: int = _flag(8, "covering centers for the compactness proxy", "wellposed")
     out: str = _flag("", "JSON output path (default stdout)")
-    csv_out: str = _flag("", "CSV export path")
+    csv_out: str = _flag("", "CSV export path", "delta2 wellposed witness probe")
 
     def validate(self) -> None:
         for field in dataclasses.fields(self):
@@ -341,6 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="JSON config file")
         for field in dataclasses.fields(ExperimentConfig):
+            if field.metadata["commands"] and name not in field.metadata["commands"]:
+                continue
             cmd.add_argument(
                 f"--{field.name.replace('_', '-')}", dest=field.name,
                 type=type(field.default), default=None, help=field.metadata["help"],

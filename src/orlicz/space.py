@@ -106,6 +106,12 @@ def _norm_block(
         if p == 1.0:  # the norm is the modular itself
             return np.asarray(M.eval(a), dtype=float).sum(axis=1)
         return vmax * _sigma(M, a, vmax) ** (1.0 / p)
+    small = vmax < np.finfo(float).tiny
+    if small.any():
+        # For a subnormal row max, vmax/t_bar may underflow to 0: solve those
+        # rows scaled by 2^64, which is exact, and scale their norms back.
+        scale = np.where(small, 2.0 ** 64, 1.0)
+        return _norm_block(M, a * scale[:, None], vmax * scale, tol) / scale
     # sigma(x/rho) > 1 at rho = vmax/t_bar: the largest term alone is M(t_bar).
     rho = vmax / M.t_bar
     if M.deriv1 is None:

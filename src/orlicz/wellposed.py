@@ -43,6 +43,10 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 _PRUNE_MARGIN = 1e-9
 # Pairs per chunk of those modular tests, which bounds their temporaries.
 _PRUNE_CHUNK = 1024
+# Coordinates a witness may have.  Building one with its norm and modulars
+# peaks at about 230 bytes per coordinate under tracemalloc (19 MB at 81,937),
+# so the cap bounds it near 60 MB, the order of the 32 MiB sample cap.
+_MAX_WITNESS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,8 @@ def sublevel_sample(
     sampler,
 ) -> SublevelSample:
     """Points of the sample within eps of the sampled infimum over K*B."""
-    if eps < 0.0:
-        raise DomainError(f"level eps must be >= 0, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"level eps must be >= 0 and finite, got {eps}")
     block, (values,), (inf_sample,) = _draw(M, K, sampler, f)
     chosen = values <= inf_sample + eps
     points = dense_to_sequences(block[chosen], range(1, block.shape[1] + 1))
@@ -261,8 +265,8 @@ def intersection_lemma_check(
     within 3*delta of each separate infimum.  The containment can be tight,
     so the 3*delta side carries an absolute fp_slack.
     """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be > 0, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"delta must be > 0 and finite, got {delta}")
     _, (fv, gv), (inf_f, inf_g) = _draw(M, K, sampler, f, g)
     both = fv + gv
     inf_fg = both[np.isfinite(fv) & np.isfinite(gv)].min()
@@ -299,8 +303,8 @@ def wpmc_diagnose(
     Anything else is inconclusive.
     """
     levels = tuple(float(v) for v in levels)
-    if not levels or any(v <= 0.0 for v in levels):
-        raise DomainError("levels must be positive")
+    if not levels or not all(0.0 < v < math.inf for v in levels):
+        raise DomainError("levels must be positive and finite")
     if any(a <= b for a, b in zip(levels, levels[1:])):
         raise DomainError("levels must be strictly decreasing")
 
@@ -376,6 +380,11 @@ def non_delta2_witness(
         )
     m_t = float(M.eval(t_k))
     m_2t = float(M.eval(2.0 * t_k))
+    if 1.0 / m_2t >= _MAX_WITNESS + 1:
+        raise DomainError(
+            f"witness for k={k} needs {1.0 / m_2t:.4g} coordinates, over the cap "
+            f"of {_MAX_WITNESS:,}; lower k"
+        )
     i_k = int(math.floor(1.0 / m_2t))
     x = SparseSequence.from_pairs((n, t_k) for n in range(1, i_k + 1))
     stats = WitnessStats(

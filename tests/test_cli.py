@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -241,11 +244,22 @@ def test_config_file_float_field_takes_an_integer(capsys, tmp_path):
     assert '"radius": 2,' in out  # echoed unchanged, not as 2.0
 
 
-def test_env_seed_overrides_everything(capsys, monkeypatch):
+def test_env_seed_overrides_everything(capsys, monkeypatch, tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"seed": 5}')
     monkeypatch.setenv("ORLICZ_SEED", "777")
-    rc, out, _ = run(capsys, ["norm", "--sequence", "1:1", "--seed", "5"])
+    rc, out, _ = run(capsys, ["norm", "--config", str(cfg_path), "--sequence", "1:1"])
     assert rc == 0
     assert payload(out)["config"]["seed"] == 777
+
+    rc, out, _ = run(capsys, [
+        "wellposed", "--samples", "20", "--index-range", "6", "--support-size", "2",
+        "--levels", "0.5", "--seed", "5",
+    ])
+    assert rc in (0, 1)
+    data = payload(out)
+    assert data["config"]["seed"] == 777
+    assert data["wellposed"]["sampler_spec"].startswith("random-ball(seed=777,")
 
     monkeypatch.setenv("ORLICZ_SEED", "almond")
     rc, _, err = run(capsys, ["norm", "--sequence", "1:1"])
@@ -297,3 +311,88 @@ def test_resource_and_float_errors_exit_2(capsys, monkeypatch, exc):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and str(exc) in err and err.count("\n") == 1
+
+
+# Runs that, per command, read every field the command reads at all; probe
+# reads different fields in each mode.
+READ_RUNS = [
+    ["norm", "--sequence", "1:3,2:-4"],
+    ["delta2", "--family", "power:1.5"],
+    ["solve", "--grid-dims", "1", "--grid-step", "0.5"],
+    ["support", "--grid-dims", "1", "--grid-step", "0.5", "--delta-lo", "0.2", "--eps-hi", "1.0"],
+    ["wellposed", "--samples", "20", "--index-range", "6", "--support-size", "2", "--levels", "0.5"],
+    ["witness", "--family", "non-delta2", "--k", "5"],
+    ["probe", "--family", "power:1", "--probe", "l1", "--sequence", "1:0.5"],
+    ["probe", "--family", "power:1.5", "--probe", "growth:2", "--k-max", "2"],
+    ["probe", "--family", "power:1.2", "--probe", "curvature:zero"],
+    ["classify", "--family", "power:1.5", "--k-max", "2"],
+]
+
+
+def test_each_subcommand_takes_the_flags_of_the_fields_it_reads(capsys, monkeypatch):
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {a.dest for a in p._actions} - {"help", "config"} for name, p in sub.choices.items()}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    reading = {"fields": None}
+    read = {name: set() for name in cli._COMMANDS}
+
+    def record(self, name):
+        # dataclasses.asdict copies every field into the payload's config echo: not a read
+        caller = sys._getframe(1).f_globals["__name__"]
+        if reading["fields"] is not None and name in fields and caller != "dataclasses":
+            reading["fields"].add(name)
+        return object.__getattribute__(self, name)
+
+    def recorded(name, command):
+        def wrapper(cfg):
+            reading["fields"] = read[name]
+            try:
+                return command(cfg)
+            finally:
+                reading["fields"] = None
+        return wrapper
+
+    monkeypatch.setattr(ExperimentConfig, "__getattribute__", record)
+    for name, command in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, recorded(name, command))
+    runs = {}
+    for argv in READ_RUNS:
+        rc, out, err = run(capsys, argv)
+        assert rc in (0, 1), (argv, err)
+        assert set(payload(out)["config"]) == fields  # the payload still echoes every field
+        runs.setdefault(argv[0], []).append(rc)
+    assert set(runs) == set(cli._COMMANDS)
+    for name in cli._COMMANDS:
+        assert read[name] == flags[name], name
+    assert sum(len(f) + 1 for f in flags.values()) == 58  # with --config: 8 x 26 = 208 before
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["norm", "--eps", "5"], "--eps"),
+    (["solve", "--radius", "2"], "--radius"),
+])
+def test_flags_the_command_does_not_read_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_non_finite_levels_exit_2(capsys):
+    rc, out, err = run(capsys, ["wellposed", "--samples", "20", "--levels", "0.5,nan"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: levels must be positive and finite\n"
+
+
+def test_oversized_witness_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        rc, _, err = run(capsys, ["witness", "--family", "non-delta2", "--k", "100000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert err.startswith("error: witness for k=100000000 needs 1.834e+08 coordinates") and err.count("\n") == 1
+    assert peak < 1 << 20  # 1.8e8 coordinates would take tens of GB

@@ -143,6 +143,14 @@ def test_extreme_magnitudes_stay_finite_and_homogeneous(tag, scale):
     assert rel_err(n, scale * luxemburg_norm(M, seq.scale(1.0 / scale))) <= 1e-12
 
 
+def test_non_delta2_subnormal_rows_are_solved_scaled():
+    rows = np.array([[5e-324, 0.0], [1e-310, -3e-311], [1.0, 0.5]])
+    got = luxemburg_norm_dense(MN, rows)
+    np.testing.assert_array_equal(got[:2], luxemburg_norm_dense(MN, rows[:2] * 2.0 ** 64) / 2.0 ** 64)
+    assert got[1] > 0.0 and got[2] == luxemburg_norm_dense(MN, rows[2:])[0]
+    assert luxemburg_norm(MN, SparseSequence.from_pairs([(1, 5e-324)])) == got[0]
+
+
 @pytest.mark.parametrize("tag", POWER_TAGS + ("non-delta2",))
 def test_zero_width_rows_have_norm_zero(tag):
     M = parse_family(tag)

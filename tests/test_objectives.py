@@ -90,6 +90,9 @@ def test_parse_objective_forms():
         parse_objective(M2, "himalaya")
     with pytest.raises(DomainError):
         parse_objective(M2, "sqdist:")  # zero target
+    for text in ("ball-quad:-1", "bump-inv:0", "modular:nan"):
+        with pytest.raises(DomainError):
+            parse_objective(M2, text)
 
 
 # Rows stop at 7 columns: from 8 on, numpy's row sum goes pairwise, so even

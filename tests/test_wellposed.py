@@ -37,8 +37,9 @@ def test_sublevel_sample_basics():
     for p in s.points:
         assert modular(M2, p) <= 0.01
     assert "random-ball" in s.sampler_spec
-    with pytest.raises(DomainError):
-        sublevel_sample(M2, f, 1.0, -0.1, SAMPLER)
+    for eps in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sublevel_sample(M2, f, 1.0, eps, SAMPLER)
     improper = Objective(eval=lambda x: math.inf, domain_radius=1.0, lower_bound=0.0)
     with pytest.raises(NotProperError):
         sublevel_sample(M2, improper, 1.0, 0.1, SAMPLER)
@@ -98,8 +99,9 @@ def test_intersection_check_vacuous_when_minimizers_split():
     assert chk.holds
     assert not chk.hypothesis_nonempty
     assert chk.checked == 0
-    with pytest.raises(DomainError):
-        intersection_lemma_check(M2, f, g, 1.0, 0.0, SAMPLER)
+    for delta in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            intersection_lemma_check(M2, f, g, 1.0, delta, SAMPLER)
 
 
 LEVELS = tuple(0.25 ** m for m in range(1, 9))
@@ -163,6 +165,10 @@ def test_wpmc_level_validation():
         wpmc_diagnose(M2, f, 1.0, (0.25, 0.5), SAMPLER)
     with pytest.raises(DomainError):
         wpmc_diagnose(M2, f, 1.0, (0.5, 0.0), SAMPLER)
+    with pytest.raises(DomainError):
+        wpmc_diagnose(M2, f, 1.0, (0.5, math.nan), SAMPLER)
+    with pytest.raises(DomainError):
+        wpmc_diagnose(M2, f, 1.0, (math.inf,), SAMPLER)
 
 
 def test_witness_statistics_table():
