@@ -2,7 +2,8 @@
 
 One config file per run (flat JSON) may set any field; command-line flags
 override it, and ORLICZ_SEED overrides the seed last of all.  A subcommand
-takes --config, --out and one flag per field it reads, and refuses others.
+takes --config, --out and one flag per field it reads, and refuses others,
+prefixes of its flags included.
 Every command is deterministic given its effective config: reports are JSON
 trees with sorted keys, CSV exports carry a schema header, and outputs
 embed the effective config for provenance.  Exit codes: 0 success, 1 not
@@ -340,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        cmd = sub.add_parser(name)
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("--config", default=None, help="JSON config file")
         for field in dataclasses.fields(ExperimentConfig):
             if field.metadata["commands"] and name not in field.metadata["commands"]:

@@ -56,6 +56,7 @@ _MAX_SCALAR_POINTS = 100_000
 class Objective:
     """A proper extended-real function on a declared norm ball.
 
+    domain_radius, positive and finite, is the radius of that ball.
     eval maps a sparse sequence to a float, +inf allowed outside the
     effective domain, NaN never.  eval_dense, when provided, evaluates a
     dense (n, d) block whose columns live on the given coordinate indices.
@@ -83,6 +84,12 @@ class Objective:
     eval_grid: Optional[Callable] = None
     probe_points: tuple[SparseSequence, ...] = field(default=(SparseSequence(),))
     coercive: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.domain_radius < math.inf:
+            raise DomainError(
+                f"objective domain_radius must be positive and finite, got {self.domain_radius}"
+            )
 
     def assert_proper(self) -> None:
         for p in self.probe_points:
@@ -343,8 +350,6 @@ def perturb_minimize(
         raise DomainError(f"eps must be positive and finite, got {eps}")
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    if not math.isfinite(f.domain_radius) or f.domain_radius <= 0.0:
-        raise DomainError("objective needs a positive finite domain_radius")
     f.assert_proper()
     _require_constant(M)  # every round needs it: fail before the sweep
     # f does not change between rounds; only g_a does.
@@ -409,8 +414,6 @@ def support_from_below(
     """
     if not (0.0 < delta_lo < eps_hi):
         raise DomainError(f"need 0 < delta_lo < eps_hi, got {delta_lo}, {eps_hi}")
-    if not math.isfinite(f.domain_radius) or f.domain_radius <= 0.0:
-        raise DomainError("support construction needs a bounded domain ball")
     K = f.domain_radius
     radius_slack = K * (1.0 + 1e-9)
 

@@ -69,14 +69,8 @@ def _norm_objective(
     )
 
 
-def _check_radius(radius: float) -> None:
-    if not 0.0 < radius < math.inf:
-        raise DomainError(f"objective radius must be positive and finite, got {radius}")
-
-
 def modular_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
     """f = sigma_M on the radius ball; coercive, minimized at 0."""
-    _check_radius(radius)
 
     def dense(rows: np.ndarray, indices) -> np.ndarray:
         return modular_dense(M, rows)
@@ -119,7 +113,6 @@ def shifted_ball_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
     the modular flips it onto the sphere, which is what makes this the
     standard stress case for the support construction.
     """
-    _check_radius(radius)
 
     def from_norm(n: np.ndarray) -> np.ndarray:
         outside = n > radius * (1.0 + 1e-12)
@@ -138,7 +131,6 @@ def inverse_bump_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
     smooth inside, equals 1 at the center, and blows up at the boundary,
     saturating to +inf where the true value exceeds the float range.
     """
-    _check_radius(radius)
 
     def from_norm(n: np.ndarray) -> np.ndarray:
         # exp(2/(1 - r^2) - 2) step by step in place, so that a whole grid

@@ -368,6 +368,8 @@ def test_each_subcommand_takes_the_flags_of_the_fields_it_reads(capsys, monkeypa
 @pytest.mark.parametrize("argv, flag", [
     (["norm", "--eps", "5"], "--eps"),
     (["solve", "--radius", "2"], "--radius"),
+    (["support", "--eps", "0.5"], "--eps"),  # no prefix match on --eps-hi
+    (["classify", "--k", "3"], "--k"),  # nor on --k-max
 ])
 def test_flags_the_command_does_not_read_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
