@@ -342,6 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         cmd = sub.add_parser(name, allow_abbrev=False)
+        cmd.set_defaults(usage_error=cmd.error)  # reports extras with this command's usage
         cmd.add_argument("--config", default=None, help="JSON config file")
         for field in dataclasses.fields(ExperimentConfig):
             if field.metadata["commands"] and name not in field.metadata["commands"]:
@@ -355,7 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        args.usage_error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)

@@ -47,8 +47,8 @@ _CHUNK_ROWS = 1 << 18
 # Largest grid an oracle accepts, checked before anything is allocated;
 # criterion 07's grid has 201^3 = 8,120,601 points.
 _MAX_POINTS = 1 << 24
-# Largest grid the per-row scalar fallback of evaluate walks: one
-# sequence_at plus one scalar objective call per point.
+# Largest grid the scalar fallback of _grid_values walks: one sparse
+# sequence plus one scalar objective call per point.
 _MAX_SCALAR_POINTS = 100_000
 
 
@@ -66,15 +66,16 @@ class Objective:
     the domain ball included, and must give a float or +inf at each.  The
     engine evaluates f over its grid once per solve: through eval_grid when
     present, else through eval_dense in streamed chunks, else through eval
-    point by point on grids of at most 100,000 points.  Each built-in
-    objective but the modular is f = from_norm(||x - c||) with one
-    from_norm behind all three evaluators, and every built-in eval is the
-    one-row result of its eval_dense, bit for bit on rows of up to 7
-    columns; from 8 on numpy's row sum goes pairwise, so a row's value may
-    differ in the last bits from its sparse sequence's.  lower_bound is a
-    witness that the objective is bounded below; probe_points witness
-    properness.  coercive is a caller assertion (the engine treats the
-    objective as non-coercive unless told otherwise).
+    row by row over each chunk's sparse sequences, as the diagnostics do, on
+    grids of at most 100,000 points.  Each built-in objective but the
+    modular is f = from_norm(||x - c||) with one from_norm behind all three
+    evaluators, and every built-in eval is the one-row result of its
+    eval_dense, bit for bit on rows of up to 7 columns; from 8 on numpy's
+    row sum goes pairwise, so a row's value may differ in the last bits from
+    its sparse sequence's.  lower_bound is a witness that the objective is
+    bounded below; probe_points witness properness.  coercive is a caller
+    assertion (the engine treats the objective as non-coercive unless told
+    otherwise).
     """
 
     eval: Callable[[SparseSequence], float]
@@ -145,15 +146,8 @@ class GridOracle:
     def sequence_at(self, row: int) -> SparseSequence:
         return SparseSequence.from_pairs(zip(self.indices, self.rows_at(row)))
 
-    def evaluate(self, scalar_fn: Callable, dense_fn: Optional[Callable] = None) -> np.ndarray:
-        """Values over the whole grid, streamed in flat-index chunks."""
-        if dense_fn is None:
-            if self.points > _MAX_SCALAR_POINTS:
-                raise DomainError(
-                    f"objective has no dense evaluator; the per-point fallback is "
-                    f"capped at {_MAX_SCALAR_POINTS:,} grid points, this grid has {self.points:,}"
-                )
-            return np.array([scalar_fn(self.sequence_at(i)) for i in range(self.points)], dtype=float)
+    def evaluate(self, dense_fn: Callable) -> np.ndarray:
+        """dense_fn's values over the whole grid, streamed in flat-index chunks."""
 
         def chunk(start: int) -> np.ndarray:
             stop = min(start + _CHUNK_ROWS, self.points)
@@ -202,11 +196,25 @@ def _checked(vals, n: int, kind: str) -> np.ndarray:
     return vals
 
 
+def _eval_each(f: Objective, seqs) -> np.ndarray:
+    """f.eval at each sparse sequence, as a float array."""
+    return np.array([float(f.eval(x)) for x in seqs], dtype=float)
+
+
 def _grid_values(f: Objective, oracle: GridOracle) -> np.ndarray:
-    """f at every grid point: from eval_grid when present, else streamed."""
-    if f.eval_grid is None:
-        return oracle.evaluate(f.eval, f.eval_dense)
-    return _checked(f.eval_grid(oracle), oracle.points, "grid")
+    """f at every grid point: from eval_grid, else eval_dense, else eval row by row."""
+    if f.eval_grid is not None:
+        return _checked(f.eval_grid(oracle), oracle.points, "grid")
+    if f.eval_dense is not None:
+        return oracle.evaluate(f.eval_dense)
+    if oracle.points > _MAX_SCALAR_POINTS:
+        raise DomainError(
+            f"objective has no dense evaluator; the per-point fallback is "
+            f"capped at {_MAX_SCALAR_POINTS:,} grid points, this grid has {oracle.points:,}"
+        )
+    from .sampling import dense_to_sequences
+
+    return oracle.evaluate(lambda rows, indices: _eval_each(f, dense_to_sequences(rows, indices)))
 
 
 @dataclass(frozen=True)
@@ -429,14 +437,12 @@ def support_from_below(
     def m_abs_scaled(axis: np.ndarray, i: int) -> np.ndarray:
         return M.eval(np.abs(axis / radius_slack))
 
-    # sigma is separable for every M, so f1 always has a grid evaluator.  It
-    # holds at most two grid arrays: f's values and eps_hi * sigma, then
-    # f1's values alone while the domain mask is built one leading-axis slab
-    # at a time.  An objective with only a scalar eval goes point by point
-    # through shifted, which calls f inside the domain ball only.
+    # sigma is separable for every M, so f1 has a grid evaluator when f has a
+    # dense one.  It holds at most two grid arrays: f's values and eps_hi *
+    # sigma, then f1's values alone while the domain mask is built one
+    # leading-axis slab at a time.  Otherwise the engine sweeps shifted row
+    # by row, which calls f inside the domain ball only.
     def shifted_grid(oracle: GridOracle) -> np.ndarray:
-        if f.eval_grid is None and f.eval_dense is None:
-            return oracle.evaluate(shifted)
         base = _grid_values(f, oracle)
         out = oracle.outer_sum(m_abs)
         out *= eps_hi
@@ -453,7 +459,7 @@ def support_from_below(
         eval=shifted,
         domain_radius=K,
         lower_bound=f.lower_bound - eps_hi * nu_bound(M, K),
-        eval_grid=shifted_grid,
+        eval_grid=None if f.eval_grid is None and f.eval_dense is None else shifted_grid,
         probe_points=f.probe_points,
         coercive=True,
     )

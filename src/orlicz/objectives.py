@@ -56,7 +56,7 @@ def _norm_objective(
             terms = {i: np.asarray(M.eval(d), dtype=float) for i, d in diffs.items()}
         lost = any((terms[i][d > 0.0] < np.finfo(float).tiny).any() for i, d in diffs.items())
         if lost or not math.isfinite(sum(float(t.max()) for t in terms.values())):
-            return oracle.evaluate(None, dense)
+            return oracle.evaluate(dense)
         norms = oracle.outer_sum(lambda axis, i: terms[i])
         norms **= 1.0 / M.power[0]
         return from_norm(norms)

@@ -112,8 +112,8 @@ def probe_l1(
     the supported envelope.
     """
     scales = tuple(float(t) for t in scales)
-    if not scales or any(t <= 0.0 for t in scales):
-        raise DomainError("scales must be positive")
+    if not scales or not all(0.0 < t < math.inf for t in scales):
+        raise DomainError("scales must be positive and finite")
     if n_probe is None:
         n_probe = max(x_bar.max_index, len(a.head)) + 50
     limit = _MAX_PROBE_CELLS // len(scales)
@@ -219,8 +219,8 @@ def probe_second_derivative(
     if x_bar_mode not in ("nonzero", "zero"):
         raise DomainError(f"unknown x_bar_mode {x_bar_mode!r}")
     scales_in = tuple(float(t) for t in scales)
-    if not scales_in or any(t <= 0.0 for t in scales_in):
-        raise DomainError("scales must be positive")
+    if not scales_in or not all(0.0 < t < math.inf for t in scales_in):
+        raise DomainError("scales must be positive and finite")
     kept = []
     quotients = []
     for t in scales_in:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Objective
+from .engine import Objective, _eval_each
 from .errors import DomainError, NotProperError, OrliczError
 from .functions import OrliczFunction
 from .sampling import dense_to_sequences
@@ -115,7 +115,7 @@ def _draw(M: OrliczFunction, K: float, sampler, *objectives: Objective):
                 pass
         if seqs is None:
             seqs = dense_to_sequences(block, indices)
-        values.append(np.array([float(f.eval(p)) for p in seqs], dtype=float))
+        values.append(_eval_each(f, seqs))
     finite = np.logical_and.reduce([np.isfinite(v) for v in values])
     if not finite.any():
         raise NotProperError("no sampled point has a finite value")
@@ -148,12 +148,8 @@ def sublevel_sample(
 
 
 def _dense_block(points) -> np.ndarray:
-    span = max((p.max_index for p in points), default=0)
-    rows = np.zeros((len(points), max(span, 1)), dtype=float)
-    for i, p in enumerate(points):
-        for idx, val in p.entries:
-            rows[i, idx - 1] = val
-    return rows
+    width = max([1] + [p.max_index for p in points])
+    return np.array([p.to_dense(width) for p in points], dtype=float).reshape(-1, width)
 
 
 def kuratowski_estimate(

@@ -314,7 +314,7 @@ def test_criterion_07_perturbed_solve_certificate():
             M, report.weights, rows, indices
         )
 
-    vals = oracle.evaluate(None, dense_total)
+    vals = oracle.evaluate(dense_total)
     assert np.all(vals >= report.min_value - 0.02)
     assert vals.min() == pytest.approx(report.min_value, abs=1e-12)
 
@@ -332,7 +332,7 @@ def test_criterion_08_support_from_below():
             M, report.weights, rows, indices
         )
 
-    vals = oracle.evaluate(None, dense_gap)
+    vals = oracle.evaluate(dense_gap)
     finite = np.isfinite(vals)
     assert finite.any()
     assert np.all(vals[finite] >= report.supported_value - 1e-9)

@@ -377,6 +377,7 @@ def test_flags_the_command_does_not_read_exit_2(capsys, argv, flag):
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert f"unrecognized arguments: {flag}" in err
+    assert f"usage: orlicz {argv[0]}" in err
 
 
 def test_non_finite_levels_exit_2(capsys):
@@ -384,6 +385,14 @@ def test_non_finite_levels_exit_2(capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: levels must be positive and finite\n"
+
+
+@pytest.mark.parametrize("probe, scales", [("l1", "nan"), ("curvature", "nan"), ("l1", "1e-2,inf")])
+def test_non_finite_scales_exit_2(capsys, probe, scales):
+    rc, out, err = run(capsys, ["probe", "--family", "power:1.5", "--probe", probe, "--scales", scales])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: scales must be positive and finite\n"
 
 
 def test_oversized_witness_exits_2_before_allocating(capsys):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from orlicz import (
     DomainError,
     GridOracle,
+    Objective,
     OrliczError,
     PerturbationWeights,
     SparseSequence,
@@ -158,9 +159,15 @@ def test_weighted_modular_matches_dense_g_in_flat_order():
 
 
 def test_scalar_fallback_refused_above_its_cap():
+    M = parse_family("power:2")
     oracle = GridOracle((1, 2, 3), step=0.02, radius=1.0)  # 101^3 points
+    calls = []
+    f = Objective(eval=lambda x: calls.append(x) or 0.0, domain_radius=1.0, lower_bound=0.0)
     with pytest.raises(DomainError, match="fallback"):
-        oracle.evaluate(lambda x: 0.0)
+        perturb_minimize(M, f, 0.1, oracle)
+    with pytest.raises(DomainError, match="fallback"):
+        support_from_below(M, f, 0.1, 0.2, oracle)
+    assert calls == list(f.probe_points) * 2  # assert_proper's probes, no grid point
 
 
 
@@ -168,7 +175,7 @@ def test_evaluate_refuses_a_dense_evaluator_of_the_wrong_length():
     oracle = GridOracle((1, 2), step=0.5, radius=1.0)
     for wrong in (lambda rows, idx: np.zeros(len(rows) + 1), lambda rows, idx: np.float64(1.0)):
         with pytest.raises(OrliczError, match="dense evaluator returned"):
-            oracle.evaluate(lambda x: 0.0, wrong)
+            oracle.evaluate(wrong)
 
 
 def test_single_chunk_sweep_returns_the_evaluator_array():
@@ -179,7 +186,7 @@ def test_single_chunk_sweep_returns_the_evaluator_array():
         returned.append(np.asarray(rows, dtype=float).sum(axis=1))
         return returned[-1]
 
-    vals = oracle.evaluate(lambda x: 0.0, dense)
+    vals = oracle.evaluate(dense)
     assert len(returned) == 1 and vals is returned[0] and vals.dtype == np.float64
 
 

@@ -21,6 +21,7 @@ from orlicz import (
     make_non_delta2,
     make_power,
     modular,
+    modular_dense,
     modular_objective,
     nu_bound,
     perturb_minimize,
@@ -205,9 +206,9 @@ def test_grid_oracle_shape_and_lookup():
     mid = len(oracle.grid()) // 2
     assert oracle.sequence_at(mid) == SparseSequence()
     assert "points=25" in oracle.describe()
-    vals = oracle.evaluate(lambda x: modular(M2, x))
+    vals = oracle.evaluate(lambda rows, idx: modular_dense(M2, rows))
     assert vals.min() == 0.0
-    dense_vals = oracle.evaluate(None, lambda rows, idx: np.asarray(rows ** 2).sum(axis=1))
+    dense_vals = oracle.evaluate(lambda rows, idx: np.asarray(rows ** 2).sum(axis=1))
     assert dense_vals.shape == vals.shape
 
 

@@ -7,10 +7,13 @@ The change is the working tree that holds this script; the base is
 directory.  The record holds:
 
 - acceptance criteria 07 (the sqdist solve) and 08 (the ball-quad support)
-  on the 8.1M-point grid: seconds of the engine call and `ru_maxrss` of the
-  process, each run in a fresh process, REPEATS times per side with the
-  side that runs first alternating, and the minimizer, iterations,
-  `converged` and reported value;
+  on the 8.1M-point grid, criterion 09's 1,000 containment checks, and the
+  sqdist solve with a scalar-only objective on the 68,921-point grid:
+  seconds of the timed call and `ru_maxrss` of the process, each run in a
+  fresh process, REPEATS times per side with the side that runs first
+  alternating, and the report (minimizer, iterations, `converged` and
+  value of a solve; the counts of criterion 09's checks), whether it is
+  the same in every run and equal to the base's;
 - the perfbench workloads: `perfbench/run.py --trace 0` of each side, for
   the run length BENCHMARK.json declares, in PAIRS alternating base/change
   pairs on seeds SEED0, SEED0 + 1, ... (the side that runs first
@@ -64,34 +67,66 @@ THREAD_VARS = (
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
 )
 
-# One criterion run in a fresh process; prints one JSON line.
+# One criterion run in a fresh process; prints one JSON line.  "09" is
+# criterion 09's loop of 1,000 containment checks with scalar-only
+# objectives; "scalar" is criterion 07's solve with a scalar-only copy of
+# the objective on the 41^3 = 68,921-point grid.
 CRITERION = r"""
 import json, resource, sys, time
-from orlicz import GridOracle, SparseSequence, make_power, perturb_minimize, support_from_below
+import numpy as np
+from orlicz import (GridOracle, GridSampler, Objective, SparseSequence, intersection_lemma_check,
+                    make_power, perturb_minimize, support_from_below)
 from orlicz.objectives import shifted_ball_objective, squared_distance_objective
 
 M = make_power(2.0)
-oracle = GridOracle((1, 2, 3), step=0.01, radius=1.0)
-if sys.argv[1] == "07":
-    z = SparseSequence.from_pairs([(1, 31 * 0.01), (2, 17 * 0.01), (3, 5 * 0.01)])
-    f = squared_distance_objective(M, z)
-    start = time.perf_counter()
-    rep = perturb_minimize(M, f, eps=0.1, oracle=oracle)
-    seconds = time.perf_counter() - start
-    value, inner = rep.min_value, rep
+z = SparseSequence.from_pairs([(1, 31 * 0.01), (2, 17 * 0.01), (3, 5 * 0.01)])
+case = sys.argv[1]
+
+
+def quadratic(rng):
+    w = rng.uniform(0.3, 2.0, size=2)
+    c = rng.uniform(-0.5, 0.5, size=2)
+    low = float(rng.uniform(0.0, 1.0))
+
+    def eval_fn(x):
+        return float(w[0] * (x.value_at(1) - c[0]) ** 2 + w[1] * (x.value_at(2) - c[1]) ** 2 + low)
+
+    return Objective(eval=eval_fn, domain_radius=1.0, lower_bound=low)
+
+
+def solve_report(rep, value, inner):
+    return {"minimizer": [list(e) for e in rep.minimizer.entries], "iterations": inner.iterations,
+            "converged": inner.converged, "value": value}
+
+
+start = time.perf_counter()
+if case == "07":
+    rep = perturb_minimize(M, squared_distance_objective(M, z), eps=0.1, oracle=GridOracle((1, 2, 3), step=0.01))
+    report = solve_report(rep, rep.min_value, rep)
+elif case == "08":
+    rep = support_from_below(M, shifted_ball_objective(M, 1.0), 1.0, 2.0, GridOracle((1, 2, 3), step=0.01))
+    report = solve_report(rep, rep.supported_value, rep.inner)
+elif case == "09":
+    rng = np.random.default_rng(909)
+    sampler = GridSampler((1, 2), step=0.1, radius=1.0)
+    checks = [
+        intersection_lemma_check(M, quadratic(rng), quadratic(rng), K=1.0,
+                                 delta=float(rng.uniform(0.02, 0.25)), sampler=sampler)
+        for _ in range(1000)
+    ]
+    report = {"holds": sum(c.holds for c in checks), "hypothesis_nonempty": sum(c.hypothesis_nonempty for c in checks),
+              "checked": sum(c.checked for c in checks)}
 else:
-    f = shifted_ball_objective(M, 1.0)
-    start = time.perf_counter()
-    rep = support_from_below(M, f, 1.0, 2.0, oracle)
-    seconds = time.perf_counter() - start
-    value, inner = rep.supported_value, rep.inner
+    f = squared_distance_objective(M, z)
+    scalar = Objective(eval=f.eval, domain_radius=f.domain_radius, lower_bound=f.lower_bound,
+                       probe_points=f.probe_points, coercive=f.coercive)
+    rep = perturb_minimize(M, scalar, eps=0.1, oracle=GridOracle((1, 2, 3), step=0.05))
+    report = solve_report(rep, rep.min_value, rep)
+seconds = time.perf_counter() - start
 print(json.dumps({
     "seconds": seconds,
     "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    "minimizer": [list(e) for e in rep.minimizer.entries],
-    "iterations": inner.iterations,
-    "converged": inner.converged,
-    "value": value,
+    "report": report,
 }))
 """
 
@@ -134,7 +169,7 @@ def _in_turn(sides: dict[str, Path], k: int) -> list[tuple[str, Path]]:
 
 def _criteria(sides: dict[str, Path]) -> dict:
     out = {}
-    for name in ("07", "08"):
+    for name in ("07", "08", "09", "scalar"):
         runs = {side: [] for side in sides}
         for k in range(REPEATS):
             for side, tree in _in_turn(sides, k):
@@ -142,12 +177,13 @@ def _criteria(sides: dict[str, Path]) -> dict:
                 print(f"criterion {name} {side}: {runs[side][-1]['seconds']:.3f} s", file=sys.stderr)
         out[name] = {}
         for side, rs in runs.items():
-            reports = [{k: r[k] for k in ("minimizer", "iterations", "converged", "value")} for r in rs]
+            reports = [r["report"] for r in rs]
             out[name][side] = {
                 "seconds": _summary([r["seconds"] for r in rs]),
                 "ru_maxrss_mb": _summary([r["ru_maxrss_mb"] for r in rs]),
                 "report": reports[0],
                 "reports_agree_across_runs": all(r == reports[0] for r in reports),
+                "report_equal_to_base": reports[0] == runs["base"][0]["report"],
             }
     return out
 
