@@ -4,137 +4,47 @@ The package builds Orlicz functions and the sequence spaces they induce,
 constructs small sup-norm perturbations that force well-posed minima, and
 ships diagnostics for when that machinery must fail: doubling-condition
 witnesses, compactness proxies, and smoothness obstruction probes.
+
+Importing the package loads none of its modules: each public name below is
+looked up in its home module when it is first asked for (PEP 562), and never
+bound here, so `orlicz.X` is always the home module's current `X`.
 """
 
-from .errors import (
-    DegenerateFunctionError,
-    Delta2RequiredError,
-    DomainError,
-    NotProperError,
-    OrliczError,
-)
-from .functions import (
-    OrliczFunction,
-    delta2_ratio_table,
-    estimate_delta2_constant,
-    find_t_bar,
-    make_non_delta2,
-    make_power,
-    parse_family,
-)
-from .sequences import SparseSequence, format_sequence, parse_sequence
-from .space import (
-    luxemburg_norm,
-    luxemburg_norm_dense,
-    modular,
-    modular_dense,
-    nu_bound,
-    phi_bound,
-    project_head,
-    project_tail,
-    scale_to_modular,
-)
-from .weights import PerturbationWeights, g_bounds, g_eval, g_eval_dense
-from .sampling import BallSampler, GridSampler, dense_to_sequences
-from .engine import (
-    GridOracle,
-    Objective,
-    SolveReport,
-    SupportReport,
-    construct_local_perturbation,
-    perturb_minimize,
-    support_from_below,
-    supporting_functional,
-)
-from .objectives import (
-    inverse_bump_objective,
-    modular_objective,
-    parse_objective,
-    shifted_ball_objective,
-    squared_distance_objective,
-)
-from .wellposed import (
-    IntersectionCheck,
-    SublevelSample,
-    WellPosednessReport,
-    WitnessStats,
-    intersection_lemma_check,
-    kuratowski_estimate,
-    non_delta2_witness,
-    sublevel_sample,
-    wpmc_diagnose,
-)
-from .probes import (
-    ProbeReport,
-    SpaceClassification,
-    classify_space,
-    probe_l1,
-    probe_p_growth,
-    probe_second_derivative,
-    second_difference,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "OrliczError",
-    "DomainError",
-    "DegenerateFunctionError",
-    "Delta2RequiredError",
-    "NotProperError",
-    "OrliczFunction",
-    "make_power",
-    "make_non_delta2",
-    "parse_family",
-    "find_t_bar",
-    "delta2_ratio_table",
-    "estimate_delta2_constant",
-    "SparseSequence",
-    "parse_sequence",
-    "format_sequence",
-    "modular",
-    "modular_dense",
-    "luxemburg_norm",
-    "luxemburg_norm_dense",
-    "project_head",
-    "project_tail",
-    "nu_bound",
-    "phi_bound",
-    "scale_to_modular",
-    "PerturbationWeights",
-    "g_eval",
-    "g_eval_dense",
-    "g_bounds",
-    "BallSampler",
-    "GridSampler",
-    "dense_to_sequences",
-    "Objective",
-    "GridOracle",
-    "SolveReport",
-    "SupportReport",
-    "construct_local_perturbation",
-    "perturb_minimize",
-    "support_from_below",
-    "supporting_functional",
-    "modular_objective",
-    "squared_distance_objective",
-    "shifted_ball_objective",
-    "inverse_bump_objective",
-    "parse_objective",
-    "SublevelSample",
-    "WellPosednessReport",
-    "IntersectionCheck",
-    "WitnessStats",
-    "sublevel_sample",
-    "kuratowski_estimate",
-    "intersection_lemma_check",
-    "wpmc_diagnose",
-    "non_delta2_witness",
-    "ProbeReport",
-    "SpaceClassification",
-    "second_difference",
-    "probe_l1",
-    "probe_p_growth",
-    "probe_second_derivative",
-    "classify_space",
-]
+# Home module of each public name, in the order of __all__.
+_HOMES = {
+    "errors": "OrliczError DomainError DegenerateFunctionError Delta2RequiredError NotProperError",
+    "functions": "OrliczFunction make_power make_non_delta2 parse_family find_t_bar "
+                 "delta2_ratio_table estimate_delta2_constant",
+    "sequences": "SparseSequence parse_sequence format_sequence",
+    "space": "modular modular_dense luxemburg_norm luxemburg_norm_dense project_head project_tail "
+             "nu_bound phi_bound scale_to_modular",
+    "weights": "PerturbationWeights g_eval g_eval_dense g_bounds",
+    "sampling": "BallSampler GridSampler dense_to_sequences",
+    "engine": "Objective GridOracle SolveReport SupportReport construct_local_perturbation "
+              "perturb_minimize support_from_below supporting_functional",
+    "objectives": "modular_objective squared_distance_objective shifted_ball_objective "
+                  "inverse_bump_objective parse_objective",
+    "wellposed": "SublevelSample WellPosednessReport IntersectionCheck WitnessStats sublevel_sample "
+                 "kuratowski_estimate intersection_lemma_check wpmc_diagnose non_delta2_witness",
+    "probes": "ProbeReport SpaceClassification second_difference probe_l1 probe_p_growth "
+              "probe_second_derivative classify_space",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _HOMES:  # `orlicz.engine` without importing it first
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME) | set(_HOMES))

@@ -9,37 +9,21 @@ trees with sorted keys, CSV exports carry a schema header, and outputs
 embed the effective config for provenance.  Exit codes: 0 success, 1 not
 converged or inconclusive, 2 invalid input, exhausted memory or a
 floating-point failure.
+The parser is built once per process, and each command imports the modules
+it runs when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, OrliczError
-from .engine import GridOracle, perturb_minimize, support_from_below
-from .functions import (
-    delta2_ratio_table,
-    estimate_delta2_constant,
-    parse_family,
-)
-from .objectives import parse_objective
-from .probes import (
-    VERDICT_INCONCLUSIVE,
-    classify_space,
-    probe_l1,
-    probe_p_growth,
-    probe_second_derivative,
-)
-from .sampling import BallSampler
-from .sequences import format_sequence, parse_sequence
-from .space import luxemburg_norm, modular
-from .weights import PerturbationWeights
-from .wellposed import non_delta2_witness, wpmc_diagnose
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -174,6 +158,8 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _oracle(cfg: ExperimentConfig) -> GridOracle:
+    from .engine import GridOracle
+
     return GridOracle(
         indices=tuple(range(1, cfg.grid_dims + 1)),
         step=cfg.grid_step,
@@ -182,6 +168,8 @@ def _oracle(cfg: ExperimentConfig) -> GridOracle:
 
 
 def _sampler(cfg: ExperimentConfig, extra=()) -> BallSampler:
+    from .sampling import BallSampler
+
     return BallSampler(
         seed=cfg.seed,
         count=cfg.samples,
@@ -193,6 +181,10 @@ def _sampler(cfg: ExperimentConfig, extra=()) -> BallSampler:
 
 
 def cmd_norm(cfg: ExperimentConfig) -> int:
+    from .functions import parse_family
+    from .sequences import format_sequence, parse_sequence
+    from .space import luxemburg_norm, modular
+
     M = parse_family(cfg.family)
     x = parse_sequence(cfg.sequence)
     _emit_json(cfg, {
@@ -205,6 +197,8 @@ def cmd_norm(cfg: ExperimentConfig) -> int:
 
 
 def cmd_delta2(cfg: ExperimentConfig) -> int:
+    from .functions import delta2_ratio_table, estimate_delta2_constant, parse_family
+
     M = parse_family(cfg.family)
     table = delta2_ratio_table(M)
     estimate = M.delta2_constant
@@ -223,6 +217,10 @@ def cmd_delta2(cfg: ExperimentConfig) -> int:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
+    from .engine import perturb_minimize
+    from .functions import parse_family
+    from .objectives import parse_objective
+
     M = parse_family(cfg.family)
     f = parse_objective(M, cfg.objective)
     report = perturb_minimize(M, f, cfg.eps, _oracle(cfg), budget=cfg.budget)
@@ -231,6 +229,10 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_support(cfg: ExperimentConfig) -> int:
+    from .engine import support_from_below
+    from .functions import parse_family
+    from .objectives import parse_objective
+
     M = parse_family(cfg.family)
     f = parse_objective(M, cfg.objective)
     report = support_from_below(
@@ -246,6 +248,10 @@ def _default_levels(M) -> list[float]:
 
 
 def cmd_wellposed(cfg: ExperimentConfig) -> int:
+    from .functions import parse_family
+    from .objectives import parse_objective
+    from .wellposed import non_delta2_witness, wpmc_diagnose
+
     M = parse_family(cfg.family)
     f = parse_objective(M, cfg.objective)
     levels = (
@@ -276,6 +282,10 @@ def cmd_wellposed(cfg: ExperimentConfig) -> int:
 
 
 def cmd_witness(cfg: ExperimentConfig) -> int:
+    from .functions import parse_family
+    from .sequences import format_sequence
+    from .wellposed import non_delta2_witness
+
     M = parse_family(cfg.family)
     x, stats = non_delta2_witness(M, cfg.k)
     _emit_json(cfg, {
@@ -291,6 +301,11 @@ def cmd_witness(cfg: ExperimentConfig) -> int:
 
 
 def cmd_probe(cfg: ExperimentConfig) -> int:
+    from .functions import parse_family
+    from .probes import VERDICT_INCONCLUSIVE, probe_l1, probe_p_growth, probe_second_derivative
+    from .sequences import parse_sequence
+    from .weights import PerturbationWeights
+
     M = parse_family(cfg.family)
     scales = _parse_floats(cfg.scales, "scale")
     name, _, arg = cfg.probe.partition(":")
@@ -316,6 +331,9 @@ def cmd_probe(cfg: ExperimentConfig) -> int:
 
 
 def cmd_classify(cfg: ExperimentConfig) -> int:
+    from .functions import parse_family
+    from .probes import classify_space
+
     M = parse_family(cfg.family)
     report = classify_space(M, k_max=cfg.k_max)
     _emit_json(cfg, {"classify": report.to_dict()})
@@ -334,7 +352,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: help widths are taken when
+    help is printed, so nothing in it depends on the call that built it."""
     parser = argparse.ArgumentParser(
         prog="orlicz",
         description="Orlicz-space experiments: norms, perturbations, diagnostics.",
@@ -354,8 +375,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stray_flag(argv: list[str]) -> str | None:
+    """argv's first token if it is a flag ahead of the command.  The top-level
+    parser takes only -h and the prefixes of --help ("-" and "--" among them);
+    it would skip any other flag and read the flag's value as the command."""
+    head = argv[0] if argv else ""
+    helps = head.startswith("-h") or "--help".startswith(head.partition("=")[0])
+    return head if head.startswith("-") and not helps else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    flag = _stray_flag(argv)
+    if flag is not None:
+        parser.error(f"unrecognized arguments: {flag}")
     args, extras = parser.parse_known_args(argv)
     if extras:
         args.usage_error(f"unrecognized arguments: {' '.join(extras)}")

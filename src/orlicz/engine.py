@@ -50,6 +50,8 @@ _MAX_POINTS = 1 << 24
 # Largest grid the scalar fallback of _grid_values walks: one sparse
 # sequence plus one scalar objective call per point.
 _MAX_SCALAR_POINTS = 100_000
+# Rows the scalar fallback converts to sparse sequences at a time.
+_SEQUENCE_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -197,8 +199,8 @@ def _checked(vals, n: int, kind: str) -> np.ndarray:
 
 
 def _eval_each(f: Objective, seqs) -> np.ndarray:
-    """f.eval at each sparse sequence, as a float array."""
-    return np.array([float(f.eval(x)) for x in seqs], dtype=float)
+    """f.eval at each sparse sequence of an iterable, as a float array."""
+    return np.fromiter((float(f.eval(x)) for x in seqs), dtype=float)
 
 
 def _grid_values(f: Objective, oracle: GridOracle) -> np.ndarray:
@@ -214,7 +216,12 @@ def _grid_values(f: Objective, oracle: GridOracle) -> np.ndarray:
         )
     from .sampling import dense_to_sequences
 
-    return oracle.evaluate(lambda rows, indices: _eval_each(f, dense_to_sequences(rows, indices)))
+    def each_row(rows: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
+        # A few rows' sequences at a time, not the whole chunk's.
+        starts = range(0, len(rows), _SEQUENCE_ROWS)
+        return _eval_each(f, (x for s in starts for x in dense_to_sequences(rows[s : s + _SEQUENCE_ROWS], indices)))
+
+    return oracle.evaluate(each_row)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 from .engine import GridOracle, Objective
 from .errors import DomainError
 from .functions import OrliczFunction
-from .sequences import SparseSequence, parse_sequence
+from .sequences import SparseSequence, format_sequence, parse_sequence
 from .space import luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
 
 __all__ = [
@@ -91,6 +91,8 @@ def squared_distance_objective(
     """f(x) = ||x - z||^2 in the Luxemburg norm; domain ball of radius 2||z||."""
     nz = luxemburg_norm(M, z)
     if nz == 0.0:
+        if z:
+            raise DomainError(f"target z is nonzero, but its norm underflows to 0: {format_sequence(z)}")
         raise DomainError("target z must be nonzero; use the modular objective for 0")
 
     def squared(n: np.ndarray) -> np.ndarray:

@@ -1,8 +1,12 @@
 import argparse
 import dataclasses
+import importlib
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,13 @@ def run(capsys, argv):
 
 def payload(out):
     return json.loads(out)
+
+
+def _load(*modules):
+    """Import the command's modules before a tracemalloc window: the CLI loads
+    them on first use, and the bound is on what the call allocates."""
+    for name in modules:
+        importlib.import_module(f"orlicz.{name}")
 
 
 def test_config_round_trip_and_validation():
@@ -278,6 +289,7 @@ def test_invalid_inputs_exit_2(capsys):
 
 
 def test_oversized_grid_exits_2_before_allocating(capsys):
+    _load("engine", "objectives")
     tracemalloc.start()
     try:
         rc, _, err = run(capsys, ["solve", "--grid-dims", "8", "--grid-step", "0.01"])
@@ -290,6 +302,7 @@ def test_oversized_grid_exits_2_before_allocating(capsys):
 
 
 def test_oversized_sample_exits_2_before_allocating(capsys):
+    _load("objectives", "wellposed")
     tracemalloc.start()
     try:
         rc, _, err = run(capsys, ["wellposed", "--samples", "100000000"])
@@ -396,6 +409,7 @@ def test_non_finite_scales_exit_2(capsys, probe, scales):
 
 
 def test_oversized_witness_exits_2_before_allocating(capsys):
+    _load("wellposed")
     tracemalloc.start()
     try:
         rc, _, err = run(capsys, ["witness", "--family", "non-delta2", "--k", "100000000"])
@@ -405,3 +419,57 @@ def test_oversized_witness_exits_2_before_allocating(capsys):
     assert rc == 2
     assert err.startswith("error: witness for k=100000000 needs 1.834e+08 coordinates") and err.count("\n") == 1
     assert peak < 1 << 20  # 1.8e8 coordinates would take tens of GB
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--eps", "5", "norm"], "--eps"),
+    (["--k=3", "witness"], "--k=3"),
+    (["--family"], "--family"),
+])
+def test_a_flag_before_the_command_is_named(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("usage: orlicz [-h]")
+    assert err.endswith(f"orlicz: error: unrecognized arguments: {flag}\n")
+
+
+def test_help_texts_do_not_depend_on_the_width_the_parser_was_built_at(capsys, monkeypatch):
+    # The texts of the package as it was when the parser was built on every call.
+    want = json.loads((Path(__file__).parent / "cli_help_80.json").read_text(encoding="utf-8"))
+    assert set(want) == {""} | set(cli._COMMANDS)
+    cli._build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    cli._build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, text in want.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text, command
+    assert cli._build_parser.cache_info().misses == 1
+
+
+# Calls whose flags differ from one to the next, so that a flag left over from
+# an earlier call would show in a later payload.
+SUCCESSIVE_RUNS = [
+    ["norm", "--family", "power:1.5", "--sequence", "1:0.5,3:-2", "--norm-tol", "1e-3"],
+    ["norm", "--sequence", "1:0.5,3:-2"],
+    ["delta2", "--family", "non-delta2"],
+    ["witness", "--family", "non-delta2", "--k", "5"],
+    ["probe", "--family", "power:1.5", "--probe", "growth:2", "--k-max", "2"],
+    ["probe", "--family", "power:1", "--sequence", "1:0.5"],
+    ["norm", "--sequence", "1:0"],
+    ["classify", "--k-max", "2"],
+]
+
+
+def test_successive_calls_in_one_process_match_fresh_processes(capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("ORLICZ_SEED", None)
+    in_process = [run(capsys, argv) for argv in SUCCESSIVE_RUNS]
+    for argv, (rc, out, err) in zip(SUCCESSIVE_RUNS, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "orlicz.cli", *argv], env=env, capture_output=True, text=True)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

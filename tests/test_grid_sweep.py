@@ -204,3 +204,18 @@ def test_sweep_peak_memory_is_about_two_grid_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 8 * oracle.points
+
+
+def test_scalar_fallback_converts_a_few_rows_at_a_time():
+    # Converting the whole chunk to sparse sequences before the first f.eval
+    # peaked at about 62 x 8N bytes on this grid.
+    f = Objective(eval=lambda x: float(len(x.entries)), domain_radius=1.0, lower_bound=0.0)
+    oracle = GridOracle((1, 2, 3), step=0.1, radius=1.0)
+    tracemalloc.start()
+    try:
+        vals = engine._grid_values(f, oracle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vals, np.count_nonzero(oracle.grid(), axis=1))
+    assert peak < 20 * 8 * oracle.points

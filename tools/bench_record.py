@@ -19,10 +19,13 @@ directory.  The record holds:
   pairs on seeds SEED0, SEED0 + 1, ... (the side that runs first
   alternates too), with each end-to-end metric per run, the medians and
   quartiles, and the pairs the change won;
-- the eight command-line invocations of the README: each run REPEATS times
-  per side in fresh processes, the side that runs first alternating, with
-  the median wall time, the exit codes, and whether every stdout is
+- the eight command-line invocations of the README: each run in CLI_PAIRS
+  alternating base/change pairs of fresh processes, with the median and
+  quartiles of the wall time, the exit codes, and whether every stdout is
   byte-identical to the base's;
+- the help texts: `orlicz --help` and `orlicz <command> --help` for each
+  command at COLUMNS=80, once per side, and whether each is byte-identical
+  to the base's;
 - the wellposed determinism set: `orlicz wellposed --family non-delta2`
   once per ORLICZ_SEED in WELLPOSED_SEEDS on each side, at the CLI's
   defaults and with each other argument set of WELLPOSED_ARGS, with the
@@ -53,8 +56,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid", "diagnose", "cli-light")
 # Fresh-process runs per criterion and side, alternating base/change pairs
-# per workload, and the perfbench seed of the first pair.
+# per README invocation and per workload, and the perfbench seed of the
+# first pair.  A process takes about 0.25 s and the host's load moves that
+# by more than a few ms, so a per-process figure needs a dozen pairs.
 REPEATS = 5
+CLI_PAIRS = 12
 PAIRS = 10
 SEED0 = 200
 # The wellposed determinism set: seeds, and the argument sets after the family.
@@ -194,9 +200,9 @@ def _readme_invocations() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("orlicz ")]
 
 
-def _run_cli(tree: Path, args: list[str], seed: int | None = None) -> tuple[float, int, bytes]:
+def _run_cli(tree: Path, args: list[str], seed: int | None = None, **env_vars: str) -> tuple[float, int, bytes]:
     """Wall seconds, exit code and stdout of one `orlicz` run in a fresh process."""
-    env = _env(tree / "src")
+    env = dict(_env(tree / "src"), **env_vars)
     if seed is not None:
         env["ORLICZ_SEED"] = str(seed)
     start = time.perf_counter()
@@ -220,11 +226,21 @@ def _cli(sides: dict[str, Path]) -> dict:
     out = {}
     for args in _readme_invocations():
         runs = {side: [] for side in sides}
-        for k in range(REPEATS):
+        for k in range(CLI_PAIRS):
             for side, tree in _in_turn(sides, k):
                 runs[side].append(_run_cli(tree, args))
-        print(f"cli {args[0]}: " + ", ".join(f"{side} {rs[-1][0]:.3f} s" for side, rs in runs.items()), file=sys.stderr)
-        out[shlex.join(args)] = _cli_entry(runs, [runs["base"][0][2]] * REPEATS)
+        entry = out[shlex.join(args)] = _cli_entry(runs, [runs["base"][0][2]] * CLI_PAIRS)
+        print(f"cli {args[0]}: " + ", ".join(
+            f"{side} {e['wall_s']['median']:.3f} s [{e['wall_s']['q1']:.3f}-{e['wall_s']['q3']:.3f}]"
+            for side, e in entry.items()), file=sys.stderr)
+    return out
+
+
+def _help(sides: dict[str, Path]) -> dict:
+    out = {}
+    for args in [["--help"]] + [[cmd, "--help"] for cmd in sorted({a[0] for a in _readme_invocations()})]:
+        stdouts = {side: _run_cli(tree, args, COLUMNS="80")[2] for side, tree in sides.items()}
+        out[shlex.join(args)] = stdouts["change"] == stdouts["base"]
     return out
 
 
@@ -306,6 +322,7 @@ def main() -> int:
             },
             "criteria": _criteria(sides),
             "cli": _cli(sides),
+            "help_identical_to_base": _help(sides),
             "wellposed": _wellposed(sides),
             "perfbench": {
                 "seconds": seconds,
