@@ -162,7 +162,7 @@ class GridOracle:
             out[start : start + _CHUNK_ROWS] = chunk(start)
         return out
 
-    def outer_sum(self, term: Callable, lead: slice = slice(None)) -> np.ndarray:
+    def outer_sum(self, term: Callable, out: Optional[np.ndarray] = None) -> np.ndarray:
         """sum_j term(axis, i_j)[k_j] at every grid point, in flat order.
 
         term maps the axis values and a coordinate index to one vector of
@@ -170,18 +170,23 @@ class GridOracle:
         left to right.  numpy's row sum adds up to 7 columns in that order,
         so a sum of the same terms matches it bit for bit below 8
         coordinates; at 8 the row sum goes pairwise and the two may differ
-        in the last bits.  lead restricts the leading axis, which yields
-        the slab of consecutive flat indices whose first coordinate lies
-        in it.
+        in the last bits.  The last outer add (on a 1-D grid, a copy) goes
+        into out, one contiguous value per grid point, or a new array.
         """
         parts = [np.asarray(term(self.axis, i), dtype=float) for i in self.indices]
-        parts[0] = parts[0][lead]
-        return functools.reduce(np.add.outer, parts).ravel()
+        out = np.empty(self.points) if out is None else out
+        if len(parts) == 1:
+            out[:] = parts[0]
+        else:
+            np.add.outer(functools.reduce(np.add.outer, parts[:-1]), parts[-1], out=out.reshape(self._shape))
+        return out
 
-    def weighted_modular(self, M: OrliczFunction, a: PerturbationWeights) -> np.ndarray:
-        """g_a at every grid point, in flat order: the outer sum of a_i M(|axis|)."""
+    def weighted_modular(
+        self, M: OrliczFunction, a: PerturbationWeights, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """g_a at every grid point, in flat order: the outer sum of a_i M(|axis|), into out if given."""
         m_axis = np.asarray(M.eval(np.abs(self.axis)), dtype=float)
-        return self.outer_sum(lambda axis, i: a.weight_at(i) * m_axis)
+        return self.outer_sum(lambda axis, i: a.weight_at(i) * m_axis, out)
 
     def describe(self) -> str:
         return (
@@ -306,37 +311,45 @@ def _total_values(
     weights: PerturbationWeights,
     oracle: GridOracle,
     base: np.ndarray,
-) -> np.ndarray:
-    """f + g_a over the grid, from f's values computed once per solve."""
-    vals = oracle.weighted_modular(M, weights)
-    vals += base
-    if np.isnan(vals).any():
+    out: np.ndarray,
+) -> tuple[int, float]:
+    """The flat argmin k of f + g_a over the grid and the lowest total vals[k].
+
+    The totals go into out, from f's values base (computed once per solve),
+    or are base itself, never written, when all weights are zero.  Checked by
+    the one argmin, which finds the first NaN if any: NaN, +inf everywhere
+    and a total below f's lower bound (-inf included) each raise.
+    """
+    if weights.sup_norm == 0.0:
+        vals = base
+    else:
+        vals = oracle.weighted_modular(M, weights, out)
+        vals += base
+    k = int(np.argmin(vals))
+    lowest = float(vals[k])
+    if math.isnan(lowest):
         raise OrliczError("objective returned NaN on the grid")
-    finite = np.isfinite(vals)
-    if not finite.any():
+    if lowest == math.inf:
         raise NotProperError("objective is +inf on the whole grid")
-    lowest = np.min(vals, where=finite, initial=math.inf)
-    if lowest < f.lower_bound - 1e-9 * (1.0 + abs(f.lower_bound)):
-        raise OrliczError(
-            f"objective dipped below its declared lower bound {f.lower_bound}"
-        )
-    return vals
+    if lowest == -math.inf or lowest < f.lower_bound - 1e-9 * (1.0 + abs(f.lower_bound)):
+        raise OrliczError(f"objective dipped below its declared lower bound {f.lower_bound}")
+    return k, lowest
 
 
 def _tail_proxy(
     M: OrliczFunction,
     oracle: GridOracle,
     vals: np.ndarray,
+    lowest: float,
     level: float,
     head_len: int,
     cap: int = 10000,
 ) -> float:
-    """Max tail norm over sampled near-minimizers of the current sweep."""
+    """Max tail norm over sampled near-minimizers of the sweep vals, whose minimum is lowest."""
     tail_cols = [j for j, idx in enumerate(oracle.indices) if idx > head_len]
     if not tail_cols:
         return 0.0
-    vmin = float(np.min(vals, where=np.isfinite(vals), initial=math.inf))
-    rows = np.flatnonzero(vals <= vmin + level)[:cap]
+    rows = np.flatnonzero(vals <= lowest + level)[:cap]
     block = oracle.rows_at(rows)[:, tail_cols]
     norms = luxemburg_norm_dense(M, block)
     return float(norms.max()) if norms.size else 0.0
@@ -367,13 +380,14 @@ def perturb_minimize(
         raise DomainError(f"budget must be >= 1, got {budget}")
     f.assert_proper()
     _require_constant(M)  # every round needs it: fail before the sweep
-    # f does not change between rounds; only g_a does.
+    # f does not change between rounds; only g_a does, into one totals buffer.
     base = _grid_values(f, oracle)
+    vals = np.empty(oracle.points)
 
     theta0 = 0.0 if f.coercive else eps / 4.0
     weights = PerturbationWeights(head=(), tail=theta0)
-    vals = _total_values(M, f, weights, oracle, base)
-    x_cur = oracle.sequence_at(int(np.argmin(vals)))
+    k, lowest = _total_values(M, f, weights, oracle, base, vals)
+    x_cur = oracle.sequence_at(k)
 
     converged = False
     iterations = 0
@@ -383,12 +397,11 @@ def perturb_minimize(
         eps_n = eps * 2.0 ** (-n - 2)
         K_eff = max(f.domain_radius, luxemburg_norm(M, x_cur))
         a_n, delta_n = construct_local_perturbation(M, x_cur, K_eff, eps_n)
-        weights = weights + a_n
-        del vals  # release the previous totals before building the next
-        vals = _total_values(M, f, weights, oracle, base)
-        x_next = oracle.sequence_at(int(np.argmin(vals)))
+        weights = weights + a_n  # sup_norm >= eps_n > 0: the totals are in vals
+        k, lowest = _total_values(M, f, weights, oracle, base, vals)
+        x_next = oracle.sequence_at(k)
         moved = luxemburg_norm(M, x_next - x_cur)
-        proxy = _tail_proxy(M, oracle, vals, delta_n, len(weights.head))
+        proxy = _tail_proxy(M, oracle, vals, lowest, delta_n, len(weights.head))
         iterations = n
         x_cur = x_next
         if moved < move_tol and proxy < tail_tol:
@@ -400,7 +413,7 @@ def perturb_minimize(
     return SolveReport(
         weights=weights,
         minimizer=x_cur,
-        min_value=float(np.min(vals)),
+        min_value=lowest,
         iterations=iterations,
         converged=converged,
         final_tail_index=len(weights.head),
@@ -445,21 +458,18 @@ def support_from_below(
         return M.eval(np.abs(axis / radius_slack))
 
     # sigma is separable for every M, so f1 has a grid evaluator when f has a
-    # dense one.  It holds at most two grid arrays: f's values and eps_hi *
-    # sigma, then f1's values alone while the domain mask is built one
-    # leading-axis slab at a time.  Otherwise the engine sweeps shifted row
-    # by row, which calls f inside the domain ball only.
+    # dense one.  It holds f's values, only read (a user eval_grid may keep
+    # them), a mask, and one array: sigma(x/r) until the mask is taken, then
+    # eps_hi * sigma, then f1's values.  Otherwise the engine sweeps shifted
+    # row by row, which calls f inside the domain ball only.
     def shifted_grid(oracle: GridOracle) -> np.ndarray:
         base = _grid_values(f, oracle)
-        out = oracle.outer_sum(m_abs)
+        out = oracle.outer_sum(m_abs_scaled)
+        outside = out > 1.0
+        oracle.outer_sum(m_abs, out)
         out *= eps_hi
         np.subtract(base, out, out=out)
-        del base
-        slab = oracle.points // len(oracle.axis)
-        per = max(1, _CHUNK_ROWS // slab)
-        for k in range(0, len(oracle.axis), per):
-            outside = oracle.outer_sum(m_abs_scaled, slice(k, k + per)) > 1.0
-            out[k * slab : k * slab + len(outside)][outside] = math.inf
+        out[outside] = math.inf
         return out
 
     f1 = Objective(

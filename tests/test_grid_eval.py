@@ -101,7 +101,7 @@ def test_support_calls_a_scalar_only_objective_inside_its_ball_only():
 
 
 def test_support_domain_mask_is_built_slab_by_slab(monkeypatch):
-    # Slabs of two leading-axis values and a partial last slab: f1 on the
+    # f streamed in chunks of 1,000 rows, the last one partial: f1 on the
     # grid must equal f - eps_hi * sigma, +inf where sigma(x/r) > 1, by rows.
     monkeypatch.setattr(engine, "_CHUNK_ROWS", 1000)
     seen = []
@@ -190,8 +190,9 @@ def test_solve_refuses_a_grid_evaluator_of_the_wrong_length():
 
 
 def test_support_peak_memory_is_about_two_grid_arrays(monkeypatch):
-    # 101^3 = 1,030,301 points.  f's values and eps_hi * sigma are the two
-    # grid arrays of the set-up; the domain mask is built slab by slab.
+    # 101^3 = 1,030,301 points.  f's values and sigma(x/r), then eps_hi *
+    # sigma in the same array, are the two grid arrays of the set-up, and
+    # the domain mask is one byte per point: about 2.15 arrays.
     monkeypatch.setattr(engine, "_CHUNK_ROWS", 1 << 14)
     M = parse_family("power:2")
     oracle = GridOracle((1, 2, 3), step=0.02, radius=1.0)

@@ -192,8 +192,9 @@ def test_single_chunk_sweep_returns_the_evaluator_array():
 
 def test_sweep_peak_memory_is_about_two_grid_arrays(monkeypatch):
     # 101^3 = 1,030,301 points.  Small chunks keep the streamed temporaries
-    # out of the figure, which is then the cached f, one round's totals and
-    # their boolean masks: about 2.25 arrays of 8 bytes per point.
+    # out of the figure, which is then the cached f, the solve's totals
+    # buffer and the tail proxy's boolean mask: about 2.13 arrays of 8 bytes
+    # per point.
     monkeypatch.setattr(engine, "_CHUNK_ROWS", 1 << 14)
     M = parse_family("power:2")
     oracle = GridOracle((1, 2, 3), step=0.02, radius=1.0)

@@ -7,8 +7,9 @@ The change is the working tree that holds this script; the base is
 directory.  The record holds:
 
 - acceptance criteria 07 (the sqdist solve) and 08 (the ball-quad support)
-  on the 8.1M-point grid, criterion 09's 1,000 containment checks, and the
-  sqdist solve with a scalar-only objective on the 68,921-point grid:
+  on the 8.1M-point grid, criterion 07's solve with no grid evaluator (f
+  streamed through eval_dense), criterion 09's 1,000 containment checks, and
+  the sqdist solve with a scalar-only objective on the 68,921-point grid:
   seconds of the timed call and `ru_maxrss` of the process, each run in a
   fresh process, REPEATS times per side with the side that runs first
   alternating, and the report (minimizer, iterations, `converged` and
@@ -73,12 +74,13 @@ THREAD_VARS = (
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
 )
 
-# One criterion run in a fresh process; prints one JSON line.  "09" is
-# criterion 09's loop of 1,000 containment checks with scalar-only
-# objectives; "scalar" is criterion 07's solve with a scalar-only copy of
-# the objective on the 41^3 = 68,921-point grid.
+# One criterion run in a fresh process; prints one JSON line.  "dense" is
+# criterion 07's solve with eval_grid=None, so f goes through eval_dense in
+# streamed chunks; "09" is criterion 09's loop of 1,000 containment checks
+# with scalar-only objectives; "scalar" is criterion 07's solve with a
+# scalar-only copy of the objective on the 41^3 = 68,921-point grid.
 CRITERION = r"""
-import json, resource, sys, time
+import dataclasses, json, resource, sys, time
 import numpy as np
 from orlicz import (GridOracle, GridSampler, Objective, SparseSequence, intersection_lemma_check,
                     make_power, perturb_minimize, support_from_below)
@@ -108,6 +110,10 @@ def solve_report(rep, value, inner):
 start = time.perf_counter()
 if case == "07":
     rep = perturb_minimize(M, squared_distance_objective(M, z), eps=0.1, oracle=GridOracle((1, 2, 3), step=0.01))
+    report = solve_report(rep, rep.min_value, rep)
+elif case == "dense":
+    f = dataclasses.replace(squared_distance_objective(M, z), eval_grid=None)
+    rep = perturb_minimize(M, f, eps=0.1, oracle=GridOracle((1, 2, 3), step=0.01))
     report = solve_report(rep, rep.min_value, rep)
 elif case == "08":
     rep = support_from_below(M, shifted_ball_objective(M, 1.0), 1.0, 2.0, GridOracle((1, 2, 3), step=0.01))
@@ -175,7 +181,7 @@ def _in_turn(sides: dict[str, Path], k: int) -> list[tuple[str, Path]]:
 
 def _criteria(sides: dict[str, Path]) -> dict:
     out = {}
-    for name in ("07", "08", "09", "scalar"):
+    for name in ("07", "dense", "08", "09", "scalar"):
         runs = {side: [] for side in sides}
         for k in range(REPEATS):
             for side, tree in _in_turn(sides, k):
