@@ -387,6 +387,8 @@ def _stray_flag(argv: list[str]) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--"]:  # the end-of-options marker, ahead of the command
+        argv = argv[1:]
     flag = _stray_flag(argv)
     if flag is not None:
         parser.error(f"unrecognized arguments: {flag}")

@@ -185,7 +185,8 @@ class GridOracle:
         self, M: OrliczFunction, a: PerturbationWeights, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """g_a at every grid point, in flat order: the outer sum of a_i M(|axis|), into out if given."""
-        m_axis = np.asarray(M.eval(np.abs(self.axis)), dtype=float)
+        with np.errstate(over="ignore"):  # M(|axis|) = inf past the float range is right
+            m_axis = np.asarray(M.eval(np.abs(self.axis)), dtype=float)
         return self.outer_sum(lambda axis, i: a.weight_at(i) * m_axis, out)
 
     def describe(self) -> str:

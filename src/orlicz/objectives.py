@@ -75,12 +75,16 @@ def modular_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
     def dense(rows: np.ndarray, indices) -> np.ndarray:
         return modular_dense(M, rows)
 
+    def eval_grid(oracle: GridOracle) -> np.ndarray:
+        with np.errstate(over="ignore"):  # M(|axis|) = inf past the float range is right
+            return oracle.outer_sum(lambda axis, i: M.eval(np.abs(axis)))
+
     return Objective(
         eval=lambda x: modular(M, x),
         domain_radius=radius,
         lower_bound=0.0,
         eval_dense=dense,
-        eval_grid=lambda oracle: oracle.outer_sum(lambda axis, i: M.eval(np.abs(axis))),
+        eval_grid=eval_grid,
         coercive=True,
     )
 

@@ -45,8 +45,9 @@ def luxemburg_norm(
     """Gauge of the modular unit ball: a one-row call of the dense kernel.
 
     With the default tol it equals luxemburg_norm_dense of the same row.
-    tol bounds the relative size of the last Newton step, or the relative
-    bracket width when M has no derivative and the kernel bisects.
+    Newton stops a row once its step moves rho by at most tol of the new
+    rho, or once it has stepped back from past the root; when M has no
+    derivative and the kernel bisects, tol is the relative bracket width.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
@@ -70,9 +71,9 @@ def luxemburg_norm_dense(
     """Row-wise Luxemburg norm of a dense (n, d) block.
 
     Power families take the closed form; every other M is solved per row by
-    Newton's method on sigma(x/rho) = 1, or by bisection when M carries no
-    derivative.  Rows go through in blocks of 1024, which bounds the
-    temporaries.
+    Newton's method on sigma(u x) = 1 in u = 1/rho, or by bisection when M
+    carries no derivative.  Rows go through in blocks of 1024, which bounds
+    the temporaries.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
@@ -116,20 +117,25 @@ def _norm_block(
     rho = vmax / M.t_bar
     if M.deriv1 is None:
         return _bisect(M, a, rho, tol)
-    # phi(rho) = sigma(x/rho) - 1 is convex and decreasing, so Newton steps
-    # from the left of the root climb to it without overshooting.  With
-    # t = a/rho, -phi'(rho) = sum M'(t) t / rho.
+    # Newton on phi(u) = sigma(u a) - 1 in u = 1/rho, which is convex and
+    # increasing.  With t = a/rho and q = phi / sum M'(t) t, the step is
+    # rho -> rho/(1 - q): from the left of the root (q > 0) it climbs and
+    # passes the root only by rounding, and it is exact where every term is
+    # affine.  A row past the root (q <= 0) takes one step of Newton in rho,
+    # rho -> rho(1 + q), which by convexity lands on the left, and stops.
+    # q < 1 by convexity; should a wrong M' break that, the row takes the
+    # rho-form step too, and a step that leaves (0, inf) raises.
     out = np.empty_like(rho)
     live = np.arange(len(rho))
     for _ in range(_NORM_MAX_ITER):
         t = a / rho[:, None]
         phi = np.asarray(M.eval(t), dtype=float).sum(axis=1) - 1.0
-        slope = (np.asarray(M.deriv1(t), dtype=float) * t).sum(axis=1)
-        step = rho * np.maximum(phi, 0.0) / slope
-        if not np.isfinite(step).all():
-            raise OrliczError("Newton step for the norm is not finite; check M.deriv1")
-        rho = rho + step
-        done = (phi <= 0.0) | (step <= tol * rho)
+        q = phi / (np.asarray(M.deriv1(t), dtype=float) * t).sum(axis=1)
+        rho = np.where((q > 0.0) & (q < 1.0), rho / (1.0 - q), rho * (1.0 + q))
+        if not ((rho > 0.0) & (rho < np.inf)).all():
+            raise OrliczError("Newton step for the norm left (0, inf); check M.deriv1")
+        # The step is q of the new rho, so this stops once it is within tol.
+        done = q <= tol
         if done.all():
             out[live] = rho
             return out

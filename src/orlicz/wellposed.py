@@ -346,8 +346,9 @@ def non_delta2_witness(
 ) -> tuple[SparseSequence, WitnessStats]:
     """A plateau sequence with small modular but norm pinned near 1/2.
 
-    Scans t downward on the geometric grid 2^(-j/refinement), keeping only
-    points with 2t < 1 and M(2t) < 1, until M(t)/M(2t) < 1/k.  The witness
+    Scans t downward on the geometric grid 2^(-j/refinement), j = 1..max_scan,
+    for the first point with 2t < 1, 0 < M(2t) < 1 and M(t)/M(2t) < 1/k; the
+    grid is evaluated as one array at t and one at 2t.  The witness
     puts t on the first floor(1/M(2t)) coordinates, so its modular stays
     below 1/k + M(t) while doubling it pushes the modular toward 1 and the
     norm into [sigma(2x)/2, 1/2].  Fails when the ratio never drops (the
@@ -357,25 +358,18 @@ def non_delta2_witness(
         raise DomainError(f"k must be >= 1, got {k}")
     if refinement < 1:
         raise DomainError(f"refinement must be >= 1, got {refinement}")
-    t_k = None
-    for j in range(1, max_scan + 1):
-        t = 2.0 ** (-j / refinement)
-        if 2.0 * t >= 1.0:
-            continue
-        m2t = float(M.eval(2.0 * t))
-        if not (0.0 < m2t < 1.0):
-            continue
-        ratio = float(M.eval(t)) / m2t
-        if ratio < 1.0 / k:
-            t_k = t
-            break
-    if t_k is None:
+    t = 2.0 ** (-np.arange(1, max_scan + 1) / refinement)
+    m_t = np.asarray(M.eval(t), dtype=float)
+    m_2t = np.asarray(M.eval(2.0 * t), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hit = (2.0 * t < 1.0) & (0.0 < m_2t) & (m_2t < 1.0) & (m_t / m_2t < 1.0 / k)
+    if not hit.any():
         raise OrliczError(
             f"no scan point with M(t)/M(2t) < 1/{k}; "
             "the function appears to satisfy the doubling condition"
         )
-    m_t = float(M.eval(t_k))
-    m_2t = float(M.eval(2.0 * t_k))
+    j = int(np.argmax(hit))
+    t_k, m_t, m_2t = float(t[j]), float(m_t[j]), float(m_2t[j])
     if 1.0 / m_2t >= _MAX_WITNESS + 1:
         raise DomainError(
             f"witness for k={k} needs {1.0 / m_2t:.4g} coordinates, over the cap "

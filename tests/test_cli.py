@@ -435,6 +435,21 @@ def test_a_flag_before_the_command_is_named(capsys, argv, flag):
     assert err.endswith(f"orlicz: error: unrecognized arguments: {flag}\n")
 
 
+def test_end_of_options_marker_before_the_command_is_dropped(capsys):
+    plain = run(capsys, ["norm", "--sequence", "1:1"])
+    assert plain[0] == 0
+    assert run(capsys, ["--", "norm", "--sequence", "1:1"]) == plain
+
+
+def test_a_bare_end_of_options_marker_still_asks_for_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("usage: orlicz [-h]")
+    assert err.endswith("orlicz: error: the following arguments are required: command\n")
+
+
 def test_help_texts_do_not_depend_on_the_width_the_parser_was_built_at(capsys, monkeypatch):
     # The texts of the package as it was when the parser was built on every call.
     want = json.loads((Path(__file__).parent / "cli_help_80.json").read_text(encoding="utf-8"))

@@ -1,9 +1,10 @@
 """Differential tests of the Luxemburg-norm kernel.
 
 The kernel answers power families in closed form and every other family by
-Newton's method, falling back to bisection only when M has no derivative.
-Each path is checked here against a plain scalar bisection that runs the
-bracket down to adjacent floats.
+Newton's method in u = 1/rho, falling back to bisection only when M has no
+derivative.  Each path is checked here against a plain scalar bisection that
+runs the bracket down to adjacent floats, and the Newton step against the
+rho-form step it replaced.
 """
 
 import dataclasses
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 
 import orlicz.space as space
 from orlicz import (
+    OrliczError,
     SparseSequence,
     luxemburg_norm,
     luxemburg_norm_dense,
     make_non_delta2,
     modular_dense,
+    non_delta2_witness,
     parse_family,
 )
 
@@ -231,3 +234,86 @@ def test_bisection_row_does_not_depend_on_its_block(tag):
     for i in (0, 7, 150, 299):
         assert luxemburg_norm_dense(M, block[i])[0] == norms[i]
     np.testing.assert_array_equal(luxemburg_norm_dense(M, block[::7]), norms[::7])
+
+
+def rho_form_norm(M, rows, tol=2.0 ** -52):
+    """Newton on sigma(x/rho) = 1 in rho, rho -> rho(1 + q): the step the kernel replaced."""
+    a = np.abs(np.asarray(rows, dtype=float))
+    rho = a.max(axis=1) / M.t_bar
+    out = np.empty_like(rho)
+    live = np.arange(len(rho))
+    for _ in range(200):
+        t = a / rho[:, None]
+        phi = np.asarray(M.eval(t), dtype=float).sum(axis=1) - 1.0
+        slope = (np.asarray(M.deriv1(t), dtype=float) * t).sum(axis=1)
+        step = rho * np.maximum(phi, 0.0) / slope
+        rho = rho + step
+        done = (phi <= 0.0) | (step <= tol * rho)
+        out[live[done]] = rho[done]
+        if done.all():
+            return out
+        keep = ~done
+        a, rho, live = a[keep], rho[keep], live[keep]
+    raise AssertionError("the rho-form reference did not converge")
+
+
+def ulps_apart(x, y):
+    """Distance in units in the last place between positive float arrays."""
+    return np.abs(np.asarray(x).view(np.int64) - np.asarray(y).view(np.int64))
+
+
+wide_rows = st.integers(1, 60).flatmap(lambda width: st.lists(
+    st.one_of(st.floats(min_value=1e-4, max_value=1e2), st.just(0.0)),
+    min_size=width, max_size=width,
+)).filter(lambda v: any(x != 0.0 for x in v))
+
+NEWTON_FAMILIES = {tag: newton_only(parse_family(tag)) for tag in ("non-delta2", "power:1.5", "power:3")}
+
+
+@pytest.mark.parametrize("tag", sorted(NEWTON_FAMILIES))
+@given(rows=st.lists(wide_rows, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_u_step_stays_within_4_ulp_of_the_rho_form_step(tag, rows):
+    M = NEWTON_FAMILIES[tag]
+    width = max(len(r) for r in rows)
+    block = np.array([r + [0.0] * (width - len(r)) for r in rows])
+    got = luxemburg_norm_dense(M, block)
+    assert ulps_apart(got, rho_form_norm(M, block)).max() <= 4
+    residual = np.asarray(M.eval(block / got[:, None]), dtype=float).sum(axis=1) - 1.0
+    assert np.abs(residual).max() <= 1e-13
+
+
+def _passes(M, row):
+    """(M.eval calls, sigma(x/rho) - 1 at the last of them) of one kernel solve."""
+    sigmas = []
+
+    def counting(t):
+        out = M.eval(t)
+        sigmas.append(float(np.sum(out)) - 1.0)
+        return out
+
+    luxemburg_norm_dense(dataclasses.replace(M, eval=counting), row)
+    return len(sigmas), sigmas[-1]
+
+
+def test_witness_rows_converge_in_at_most_4_passes():
+    # The first step from vmax/t_bar lands where every term is affine, which
+    # the u-step solves exactly; the rho-form step took 8 to 10 passes here.
+    # Some rows then sit past the root by rounding: they step back and stop.
+    passes = {k: _passes(MN, np.array(non_delta2_witness(MN, k)[0].values())) for k in (5, 10, 20, 50)}
+    assert all(n <= 4 for n, _ in passes.values()), passes
+    assert any(last < 0.0 for _, last in passes.values()), passes
+
+
+@given(row=wide_rows, factor=st.floats(min_value=1e-3, max_value=0.9))
+@settings(max_examples=80, deadline=None)
+def test_an_understated_derivative_never_gives_a_negative_norm(row, factor):
+    # With M' scaled down, q = phi / sum M'(t) t can reach 1 and beyond,
+    # where the u-step would divide by 1 - q <= 0.
+    M = dataclasses.replace(MN, deriv1=lambda t: factor * MN.deriv1(t))
+    with np.errstate(all="ignore"):
+        try:
+            got = luxemburg_norm_dense(M, np.array(row))
+        except OrliczError:
+            return
+    assert np.isfinite(got).all() and (got > 0.0).all()

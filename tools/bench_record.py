@@ -22,16 +22,19 @@ directory.  The record holds:
   quartiles, and the pairs the change won;
 - the eight command-line invocations of the README: each run in CLI_PAIRS
   alternating base/change pairs of fresh processes, with the median and
-  quartiles of the wall time, the exit codes, and whether every stdout is
-  byte-identical to the base's;
+  quartiles of the wall time, the exit codes, whether every stdout is
+  byte-identical to the base's, the largest ulp distance between its JSON
+  floats and the base's (0 where stdout is identical), and whether every
+  key, string, int, bool and exit code is identical;
 - the help texts: `orlicz --help` and `orlicz <command> --help` for each
   command at COLUMNS=80, once per side, and whether each is byte-identical
   to the base's;
 - the wellposed determinism set: `orlicz wellposed --family non-delta2`
   once per ORLICZ_SEED in WELLPOSED_SEEDS on each side, at the CLI's
   defaults and with each other argument set of WELLPOSED_ARGS, with the
-  median wall time, the exit codes, and whether every stdout is
-  byte-identical to the base's for the same seed;
+  median wall time, the exit codes, whether every stdout is byte-identical
+  to the base's for the same seed, and the same float and non-float
+  comparison as the README invocations;
 - the host: `nproc`, the Python and numpy versions.
 
 Runs go one at a time, with BLAS and OpenMP capped at one thread and
@@ -46,6 +49,7 @@ import os
 import platform
 import shlex
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -216,16 +220,50 @@ def _run_cli(tree: Path, args: list[str], seed: int | None = None, **env_vars: s
     return time.perf_counter() - start, proc.returncode, proc.stdout
 
 
-def _cli_entry(runs: dict[str, list], base_stdouts: list[bytes]) -> dict:
-    """Each side's runs, the stdout of run k compared with base_stdouts[k]."""
-    return {
-        side: {
+def _float_key(x: float) -> int:
+    """x's bits as an integer that grows with x, so that adjacent floats are 1 apart."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _json_compare(a, b) -> tuple[bool, int]:
+    """(every key and non-float value equal, largest ulp distance between corresponding floats)."""
+    if isinstance(a, float) and isinstance(b, float):
+        same = a == b or (a != a and b != b)
+        return True, 0 if same else abs(_float_key(a) - _float_key(b))
+    if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+        parts = [_json_compare(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [_json_compare(x, y) for x, y in zip(a, b)]
+    else:
+        return type(a) is type(b) and a == b, 0
+    return all(p[0] for p in parts), max((p[1] for p in parts), default=0)
+
+
+def _stdout_compare(out: bytes, base: bytes) -> tuple[bool, int]:
+    """_json_compare of two JSON stdouts; stdout that is not JSON must be byte-identical."""
+    try:
+        return _json_compare(json.loads(out), json.loads(base))
+    except ValueError:
+        return out == base, 0
+
+
+def _cli_entry(runs: dict[str, list], base_runs: list[tuple]) -> dict:
+    """Each side's runs, run k compared with base_runs[k]: byte for byte, and
+    as JSON, by the largest ulp distance between floats and whether every
+    key, string, int, bool and exit code is identical."""
+    entry = {}
+    for side, rs in runs.items():
+        compared = [_stdout_compare(r[2], b[2]) for r, b in zip(rs, base_runs)]
+        entry[side] = {
             "wall_s": _summary([r[0] for r in rs]),
             "exit_codes": sorted({r[1] for r in rs}),
-            "stdout_identical_to_base": all(r[2] == b for r, b in zip(rs, base_stdouts)),
+            "stdout_identical_to_base": all(r[2] == b[2] for r, b in zip(rs, base_runs)),
+            "max_float_ulps_from_base": max(c[1] for c in compared),
+            "all_but_floats_identical_to_base": all(c[0] for c in compared)
+            and all(r[1] == b[1] for r, b in zip(rs, base_runs)),
         }
-        for side, rs in runs.items()
-    }
+    return entry
 
 
 def _cli(sides: dict[str, Path]) -> dict:
@@ -235,7 +273,7 @@ def _cli(sides: dict[str, Path]) -> dict:
         for k in range(CLI_PAIRS):
             for side, tree in _in_turn(sides, k):
                 runs[side].append(_run_cli(tree, args))
-        entry = out[shlex.join(args)] = _cli_entry(runs, [runs["base"][0][2]] * CLI_PAIRS)
+        entry = out[shlex.join(args)] = _cli_entry(runs, [runs["base"][0]] * CLI_PAIRS)
         print(f"cli {args[0]}: " + ", ".join(
             f"{side} {e['wall_s']['median']:.3f} s [{e['wall_s']['q1']:.3f}-{e['wall_s']['q3']:.3f}]"
             for side, e in entry.items()), file=sys.stderr)
@@ -261,7 +299,7 @@ def _wellposed(sides: dict[str, Path]) -> dict:
             print(f"{shlex.join(args)} seed {seed}: " + ", ".join(f"{side} {rs[-1][0]:.3f} s" for side, rs in runs.items()), file=sys.stderr)
         out[shlex.join(args)] = {
             "seeds": list(WELLPOSED_SEEDS),
-            **_cli_entry(runs, [r[2] for r in runs["base"]]),
+            **_cli_entry(runs, runs["base"]),
         }
     return out
 
