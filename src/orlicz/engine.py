@@ -452,24 +452,21 @@ def support_from_below(
             return math.inf
         return float(f.eval(x)) - eps_hi * modular(M, x)
 
-    def m_abs(axis: np.ndarray, i: int) -> np.ndarray:
-        return M.eval(np.abs(axis))
-
-    def m_abs_scaled(axis: np.ndarray, i: int) -> np.ndarray:
-        return M.eval(np.abs(axis / radius_slack))
-
     # sigma is separable for every M, so f1 has a grid evaluator when f has a
     # dense one.  It holds f's values, only read (a user eval_grid may keep
     # them), a mask, and one array: sigma(x/r) until the mask is taken, then
-    # eps_hi * sigma, then f1's values.  Otherwise the engine sweeps shifted
-    # row by row, which calls f inside the domain ball only.
+    # eps_hi * sigma, then f1's values, subtracted inside the ball only (f
+    # and sigma may both be inf outside).  Otherwise the engine sweeps
+    # shifted row by row, which calls f inside the domain ball only.
     def shifted_grid(oracle: GridOracle) -> np.ndarray:
         base = _grid_values(f, oracle)
-        out = oracle.outer_sum(m_abs_scaled)
+        with np.errstate(over="ignore"):  # M(|axis|) = inf past the float range is right
+            m_scaled, m_axis = M.eval(np.abs(oracle.axis / radius_slack)), M.eval(np.abs(oracle.axis))
+        out = oracle.outer_sum(lambda axis, i: m_scaled)
         outside = out > 1.0
-        oracle.outer_sum(m_abs, out)
+        oracle.outer_sum(lambda axis, i: m_axis, out)
         out *= eps_hi
-        np.subtract(base, out, out=out)
+        np.subtract(base, out, out=out, where=~outside)
         out[outside] = math.inf
         return out
 

@@ -122,10 +122,11 @@ def _draw(M: OrliczFunction, K: float, sampler, *objectives: Objective):
     return block, values, [float(v[finite].min()) for v in values]
 
 
-def _trim(rows: np.ndarray) -> np.ndarray:
-    """rows cut after their last nonzero column (one at least), as _dense_block cuts."""
-    nonzero = np.flatnonzero(rows.any(axis=0))
-    return rows[:, : nonzero[-1] + 1 if nonzero.size else 1]
+def _trim(block: np.ndarray, idx) -> np.ndarray:
+    """A view of block cut after the last nonzero column of its rows idx (one
+    at least), as _dense_block cuts them."""
+    nonzero = np.flatnonzero(block[idx].any(axis=0))
+    return block[:, : nonzero[-1] + 1 if nonzero.size else 1]
 
 
 def sublevel_sample(
@@ -165,69 +166,102 @@ def kuratowski_estimate(
     pts = list(points)
     if not pts:
         raise DomainError("cannot estimate covering radius of an empty sample")
-    return _covering_radius(_dense_block(pts), M, max_centers)
+    return _lockstep(M, [_cover(_dense_block(pts), np.arange(len(pts)), M, max_centers)])[0]
 
 
-def _covering_radius(rows: np.ndarray, M: OrliczFunction, max_centers: int) -> float:
-    """kuratowski_estimate on a nonempty block whose column j is coordinate j + 1.
+def _diam_estimate(rows: np.ndarray, M: OrliczFunction, cap: int = 200) -> float:
+    """Largest pairwise distance among at most cap rows of the block."""
+    return _lockstep(M, _diameter_tasks(rows, [np.arange(len(rows))], M, cap))[0]
 
-    A new center c can lower dist[i] only if ||x_i - c|| <= dist[i].  Since
-    ||d|| > rho exactly when sigma(d/rho) > 1, one modular pass at
-    rho = dist (1 + margin) finds the rows farther from c than that; they
-    keep their distance without a norm solve, and the rest are solved.
+
+def _lockstep(M: OrliczFunction, tasks: list) -> list:
+    """Each task's return value.  A task is a generator that yields blocks of
+    rows and is sent their norms.  A round solves the pending blocks in one
+    call per width: a row's norm depends on its width, not on the other rows."""
+    out, sent = [None] * len(tasks), dict.fromkeys(range(len(tasks)))
+    while sent:
+        asked = {}
+        for k, norms in sent.items():
+            try:
+                asked[k] = tasks[k].send(norms)
+            except StopIteration as stop:
+                out[k] = stop.value
+        sent = {}
+        for width in {rows.shape[1] for rows in asked.values()}:
+            group = [k for k in asked if asked[k].shape[1] == width]
+            norms = luxemburg_norm_dense(M, np.concatenate([asked[k] for k in group]))
+            sent.update(zip(group, np.split(norms, np.cumsum([len(asked[k]) for k in group])[:-1])))
+    return out
+
+
+def _cover(rows: np.ndarray, idx, M: OrliczFunction, max_centers: int):
+    """_lockstep task: kuratowski_estimate on the nonempty rows idx of a
+    block whose column j is coordinate j + 1.
+
+    A new center c can lower dist[i] only if ||x_i - c|| <= dist[i].  It
+    cannot if 2 dist[i] < dist[c] (margin included), as ||x_i - c|| >=
+    dist[c] - dist[i], nor if sigma((x_i - c)/rho) > 1 at rho = dist[i]
+    (1 + margin), one modular pass; those rows skip the norm solve.
     """
     if max_centers < 1:
         raise DomainError(f"max_centers must be >= 1, got {max_centers}")
     # dist[i] = distance from point i to its nearest chosen center
-    dist = luxemburg_norm_dense(M, rows - rows[0])
-    for _ in range(1, min(max_centers, len(rows))):
+    dist = yield rows[idx] - rows[idx[0]]
+    for _ in range(1, min(max_centers, len(idx))):
         far = int(np.argmax(dist))  # argmax takes the first maximum: lowest index wins ties
         if dist[far] == 0.0:
             break
-        live = np.flatnonzero(dist > 0.0)
-        sigma = _pair_modular(M, rows, live, far, dist[live] * (1.0 + _PRUNE_MARGIN))
+        live = np.flatnonzero(2.0 * dist >= dist[far] * (1.0 - _PRUNE_MARGIN))
+        sigma = _pair_modular(M, rows, idx[live], idx[far], dist[live] * (1.0 + _PRUNE_MARGIN))
         live = live[~(sigma > 1.0)]  # NaN gets the exact solve
-        dist[live] = np.minimum(dist[live], luxemburg_norm_dense(M, rows[live] - rows[far]))
+        dist[live] = np.minimum(dist[live], (yield rows[idx[live]] - rows[idx[far]]))
     return float(dist.max())
 
 
-def _diam_estimate(rows: np.ndarray, M: OrliczFunction, cap: int = 200) -> float:
-    """Largest pairwise distance among at most cap rows of the block.
+def _diameter_tasks(block: np.ndarray, levels, M: OrliczFunction, cap: int = 200) -> list:
+    """_lockstep tasks: _diam_estimate of the rows idx of the block, for each idx.
 
     Equal to the largest norm over all pairs, from few norm solves.  Given
     the norm r of one pair, another pair's norm beats r only if its
     triangle bound ||x_i|| + ||x_j|| reaches r and its difference d has
     sigma(d/r) > 1 (margin included).  r comes from the pair with the
     largest bound, then from the surviving pair with the largest sigma,
-    and only the pairs that survive both are solved.  A row's norm does not
-    depend on the other rows of its block, so each solved pair gives the
-    float the full pairwise block gives it.
+    and only the pairs that survive both are solved.  The row norms feed
+    only the bound, so the levels share one solve of them.
     """
-    if len(rows) < 2:
-        return 0.0
-    if len(rows) > cap:
-        # Evenly spaced over the whole block, first and last kept: samplers
-        # append their special points (zero, witnesses) at the end.
-        rows = _trim(rows[np.rint(np.linspace(0, len(rows) - 1, cap)).astype(int)])
-    norms = luxemburg_norm_dense(M, rows)
-    ii, jj = np.triu_indices(len(rows), k=1)
-    bound = norms[ii] + norms[jj]
-    pairs = np.arange(len(ii))
-    pick = int(np.argmax(bound))
-    r = 0.0
-    for _ in range(2):
-        r = max(r, float(luxemburg_norm_dense(M, rows[ii[pick]] - rows[jj[pick]])[0]))
-        if r == 0.0:  # no radius to test: every pair is solved
-            break
-        reach = r * (1.0 - _PRUNE_MARGIN)
-        pairs = pairs[bound[pairs] >= reach]
-        sigma = _pair_modular(M, rows, ii[pairs], jj[pairs], reach)
-        keep = ~(sigma <= 1.0)  # NaN gets the exact solve
-        pairs, sigma = pairs[keep], sigma[keep]
-        if not pairs.size:
-            return r
-        pick = int(pairs[np.argmax(sigma)])
-    return max(r, float(luxemburg_norm_dense(M, rows[ii[pairs]] - rows[jj[pairs]]).max()))
+    # Over cap rows, evenly spaced, first and last kept: samplers append
+    # their special points (zero, witnesses) at the end.
+    levels = [idx if len(idx) <= cap else idx[np.rint(np.linspace(0, len(idx) - 1, cap)).astype(int)]
+              for idx in levels]
+    used = np.unique(np.concatenate(levels))
+    row_norms = np.zeros(len(block))
+    row_norms[used] = luxemburg_norm_dense(M, _trim(block, used)[used])
+
+    def diameter(rows, idx):
+        if len(idx) < 2:
+            return 0.0
+        top = idx[np.argsort(row_norms[idx])[-2:]]  # the pair with the largest bound
+        r = float((yield rows[top[:1]] - rows[top[1:]])[0])
+        # The pairs are built after that yield and pruned before the next,
+        # so that the levels do not hold all their pairs at once.
+        ii, jj = (idx[p] for p in np.triu_indices(len(idx), k=1))
+        for second in (True, False):
+            if r == 0.0:  # no radius to test: every pair is solved
+                break
+            reach = r * (1.0 - _PRUNE_MARGIN)
+            near = row_norms[ii] + row_norms[jj] >= reach
+            ii, jj = ii[near], jj[near]
+            sigma = _pair_modular(M, rows, ii, jj, reach)
+            keep = ~(sigma <= 1.0)  # NaN gets the exact solve
+            ii, jj, sigma = ii[keep], jj[keep], sigma[keep]
+            if not ii.size:
+                return r
+            if second:  # the surviving pair with the largest sigma
+                k = int(np.argmax(sigma))
+                r = max(r, float((yield rows[ii[k : k + 1]] - rows[jj[k : k + 1]])[0]))
+        return max(r, float((yield rows[ii] - rows[jj]).max()))
+
+    return [diameter(_trim(block, idx), idx) for idx in levels]
 
 
 def _pair_modular(M: OrliczFunction, rows: np.ndarray, ii, jj, rho) -> np.ndarray:
@@ -306,12 +340,10 @@ def wpmc_diagnose(
 
     block, (values,), (inf_sample,) = _draw(M, K, sampler, f)
 
-    alphas = []
-    diams = []
-    for level in levels:
-        chosen = _trim(block[values <= inf_sample + level])
-        alphas.append(_covering_radius(chosen, M, max_centers))
-        diams.append(_diam_estimate(chosen, M))
+    chosen = [np.flatnonzero(values <= inf_sample + level) for level in levels]
+    covers = [_cover(_trim(block, idx), idx, M, max_centers) for idx in chosen]
+    out = _lockstep(M, covers + _diameter_tasks(block, chosen, M))
+    alphas, diams = out[: len(levels)], out[len(levels) :]
 
     def weakly_decreasing(seq) -> bool:
         return all(b <= a * (1.0 + slack) + 1e-12 for a, b in zip(seq, seq[1:]))

@@ -21,6 +21,7 @@ from orlicz import (
     Objective,
     SparseSequence,
     intersection_lemma_check,
+    kuratowski_estimate,
     luxemburg_norm_dense,
     make_non_delta2,
     make_power,
@@ -37,7 +38,6 @@ from orlicz.wellposed import (
     IntersectionCheck,
     SublevelSample,
     WellPosednessReport,
-    _covering_radius,
     _dense_block,
     _diam_estimate,
 )
@@ -270,7 +270,7 @@ def _assert_pruned_match_reference(pts, M):
     rows = ref_block(pts)
     assert _diam_estimate(rows, M) == ref_diam(pts, M)
     for centers in (1, 2, 3, 8):
-        assert _covering_radius(rows, M, centers) == ref_kuratowski(pts, M, centers)
+        assert kuratowski_estimate(pts, M, centers) == ref_kuratowski(pts, M, centers)
 
 
 # Few distinct magnitudes, so that duplicate rows and tied norms come up often.
@@ -354,3 +354,102 @@ def test_pruning_skips_most_newton_solves():
         want = ref_wpmc(MC, pts, [f.eval(p) for p in pts], levels, sampler, 8)
         assert got == want
         assert pruned <= 0.2 * seen[0], (seed, pruned, seen[0])
+
+
+# -- every level in lockstep against the reference of each level -------------
+
+
+class _BlockSampler:
+    """A sampler whose draw is one fixed block."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def dense_points(self, M, K):
+        return self.rows, tuple(range(1, self.rows.shape[1] + 1))
+
+    def describe(self):
+        return "block"
+
+
+def _assert_levels_match_reference(rows, depth, M, centers=8):
+    # Level k holds the rows of depth >= k: value L - 1 - depth against the
+    # level L - k - 1/2 of a sampled infimum 0 (the deepest rows).
+    rows, depth = np.asarray(rows, dtype=float), np.asarray(depth)
+    n_levels = int(depth.max()) + 1
+    values = (n_levels - 1 - depth).astype(float)
+    f = Objective(eval=lambda x: 0.0, eval_dense=lambda block, indices: values, domain_radius=1.0, lower_bound=0.0)
+    levels = [n_levels - k - 0.5 for k in range(n_levels)]
+    got = wpmc_diagnose(M, f, 1.0, levels, _BlockSampler(rows), max_centers=centers)
+    for k in range(n_levels):
+        pts = [SparseSequence.from_values(row) for row in rows[depth >= k]]
+        assert got.alpha_estimates[k] == ref_kuratowski(pts, M, centers), k
+        assert got.diam_estimates[k] == ref_diam(pts, M), k
+
+
+# Level widths below 8, past 8 and not multiples of 8: padding a row with zero
+# columns may change its norm in the last bits.
+_level_widths = st.lists(st.sampled_from((1, 2, 3, 5, 6, 7, 9, 12, 17, 30)), min_size=2, max_size=4, unique=True)
+
+
+@st.composite
+def _nested_blocks(draw):
+    widths = sorted(draw(_level_widths), reverse=True)
+    rows, depth = [], []
+    for k, width in enumerate(widths):
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            row = draw(st.lists(_entries, min_size=width, max_size=width))
+            rows.append(row + [0.0] * (widths[0] - width))
+            depth.append(k)
+    dups = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+    order = draw(st.permutations(list(range(len(rows))) + dups))
+    return [rows[i] for i in order], [depth[i] for i in order], draw(st.sampled_from((1, 2, 3, 8)))
+
+
+@pytest.mark.parametrize("family", PRUNE_FAMILIES)
+@given(block=_nested_blocks())
+@settings(max_examples=40, deadline=None)
+def test_lockstep_levels_equal_each_level_reference(family, block):
+    rows, depth, centers = block
+    _assert_levels_match_reference(rows, depth, PRUNE_FAMILIES[family], centers)
+
+
+def _triangle_ties(M):
+    """Rows c, c + v, c + 2v whose computed norms break the triangle
+    inequality by rounding: ||x - far|| < ||x - c|| although 2 ||x - c|| <
+    ||far - c||.  Only the margin keeps the covering radius from skipping x."""
+    rng = np.random.default_rng(5)
+    c = rng.uniform(-1.0, 1.0, size=(20000, 2))
+    v = rng.uniform(-0.5, 0.5, size=(20000, 2))
+    x, far = c + v, c + 2.0 * v
+    nx, nf, nxf = (luxemburg_norm_dense(M, d) for d in (x - c, far - c, x - far))
+    return [(c[i], x[i], far[i]) for i in np.flatnonzero((nxf < nx) & (2.0 * nx < nf))[:3]]
+
+
+def _lockstep_cases(M):
+    rng = np.random.default_rng(17)
+    wide = np.zeros((240, 9))
+    wide[:, :6] = rng.standard_normal((240, 6)) * 0.1
+    wide[200, 3:] = 0.0
+    wide[-1, 8] = 4.0
+    x = rng.standard_normal(7)
+    cases = {
+        # 240 rows of width 9, past the 200-row cap with the far point last;
+        # then 39 rows of width 6; then one row of width 3.
+        "over the cap": (wide, [0] * 200 + [2] + [1] * 38 + [0]),
+        "one-row level": ([x, 2.0 * x, -x], [0, 0, 1]),
+        # The deepest level is all zero (radius 0, every pair solved).
+        "all-zero level": ([x, np.zeros(7), x[:3].tolist() + [0.0] * 4, np.zeros(7)], [0, 2, 1, 2]),
+        "duplicate rows": ([x, x, 0.5 * x, x, 0.5 * x], [0, 1, 1, 2, 2]),
+    }
+    for k, tie in enumerate(_triangle_ties(M)):
+        cases[f"triangle tie {k}"] = (list(tie), [1, 1, 1])
+    return cases
+
+
+@pytest.mark.parametrize("family", PRUNE_FAMILIES)
+def test_lockstep_levels_on_special_blocks(family):
+    M = PRUNE_FAMILIES[family]
+    for name, (rows, depth) in _lockstep_cases(M).items():
+        for centers in (2, 8):
+            _assert_levels_match_reference(rows, depth, M, centers)

@@ -12,7 +12,11 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +252,37 @@ def test_overflowing_axis_term_solves_from_the_cli(capsys, text, min_value):
         "min_value": min_value,
         "minimizer": "",
         "weights": {"head": [], "signed": False, "tail": 0.0125},
+    }
+
+
+def test_overflowing_axis_term_supports_silently_under_warnings_as_errors():
+    # support's shifted objective is f - eps_hi * sigma, +inf outside the
+    # domain ball; there M(1000) = inf made f and sigma both inf, and inf - inf
+    # warned before the mask set it.  The payload is the one the run gave
+    # while it still warned.
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("ORLICZ_SEED", None)
+    argv = ["support", "--family", "power:110", "--objective", "modular",
+            "--grid-dims", "2", "--grid-step", "500", "--grid-radius", "1000"]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "orlicz.cli", *argv], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    weights = {"head": [], "signed": False}
+    assert json.loads(proc.stdout)["support"] == {
+        "inner": {
+            "certificate_accuracy": 1.1305535631739692e-167,
+            "certificate_resolution": "grid(indices=[1, 2], step=500, radius=1000, points=25)",
+            "compactness_proxy": 0.0,
+            "converged": True,
+            "final_tail_index": 0,
+            "iterations": 1,
+            "min_value": 0.0,
+            "minimizer": "",
+            "weights": {**weights, "tail": 0.125},
+        },
+        "minimizer": "",
+        "supported_value": 0.0,
+        "weights": {**weights, "tail": 1.875},
     }
 
 

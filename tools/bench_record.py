@@ -29,12 +29,22 @@ directory.  The record holds:
 - the help texts: `orlicz --help` and `orlicz <command> --help` for each
   command at COLUMNS=80, once per side, and whether each is byte-identical
   to the base's;
-- the wellposed determinism set: `orlicz wellposed --family non-delta2`
-  once per ORLICZ_SEED in WELLPOSED_SEEDS on each side, at the CLI's
-  defaults and with each other argument set of WELLPOSED_ARGS, with the
-  median wall time, the exit codes, whether every stdout is byte-identical
-  to the base's for the same seed, and the same float and non-float
-  comparison as the README invocations;
+- the wellposed determinism set: `orlicz wellposed` with each argument set
+  of WELLPOSED_ARGS (the CLI's defaults on non-delta2 first), once per
+  ORLICZ_SEED in WELLPOSED_SEEDS on each side, with the median wall time,
+  the exit codes, whether every stdout is byte-identical to the base's for
+  the same seed, and the same float and non-float comparison as the README
+  invocations;
+- the CLI-default `orlicz wellposed --family non-delta2` (8 levels, 400
+  samples) timed in process: `orlicz.cli.main` with stdout discarded, the
+  median of WELLPOSED_RUNS calls after one warm-up call, in a fresh process
+  per side, in PAIRS alternating base/change pairs, with the medians,
+  quartiles and the pairs the change won;
+- the work of one perfbench diagnose operation on each side, averaged over
+  DIAGNOSE_OPS rounds of seed SEED0: `luxemburg_norm_dense` calls and rows
+  per call site (the chain of `orlicz` frames below `wpmc_diagnose`, as
+  `module.function:line`), and `M.eval` and `deriv1` calls and elements,
+  counted by wrapping the functions in process;
 - the host: `nproc`, the Python and numpy versions.
 
 Runs go one at a time, with BLAS and OpenMP capped at one thread and
@@ -68,9 +78,17 @@ REPEATS = 5
 CLI_PAIRS = 12
 PAIRS = 10
 SEED0 = 200
-# The wellposed determinism set: seeds, and the argument sets after the family.
+# The wellposed determinism set: seeds, and the argument sets after `wellposed`.
 WELLPOSED_SEEDS = range(10)
-WELLPOSED_ARGS = ((), ("--samples", "100", "--levels", "0.25,0.0625,0.015625"))
+WELLPOSED_ARGS = (
+    ("--family", "non-delta2"),
+    ("--family", "non-delta2", "--samples", "100", "--levels", "0.25,0.0625,0.015625"),
+    ("--family", "power:1.5", "--objective", "sqdist:1:0.3,2:-0.2"),
+)
+# Timed in-process calls per process of the CLI-default wellposed run, and
+# perfbench diagnose operations per side whose work is counted.
+WELLPOSED_RUNS = 5
+DIAGNOSE_OPS = 20
 # Direction of each perfbench end-to-end metric, as BENCHMARK.json declares it.
 LOWER_IS_BETTER = {"setup_s": True, "op_ms": True, "ops_per_s": False, "peak_rss_mb": True}
 THREAD_VARS = (
@@ -143,6 +161,93 @@ print(json.dumps({
     "seconds": seconds,
     "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     "report": report,
+}))
+"""
+
+# The CLI-default wellposed run in process: the median of argv[1] timed
+# calls after a warm-up call, in ms.
+WELLPOSED_TIMING = r"""
+import contextlib, io, json, statistics, sys, time
+from orlicz import cli
+
+
+def run():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["wellposed", "--family", "non-delta2"])
+
+
+run()
+times = []
+for _ in range(int(sys.argv[1])):
+    start = time.perf_counter()
+    run()
+    times.append((time.perf_counter() - start) * 1e3)
+print(json.dumps({"ms": statistics.median(times)}))
+"""
+
+# argv[1] perfbench diagnose operations (seed argv[2]) with luxemburg_norm_dense
+# wrapped in every orlicz namespace that holds it, and parse_family handing
+# the operation an M whose eval and deriv1 count; prints the work per operation.
+DIAGNOSE_COUNTS = r"""
+import collections, dataclasses, json, sys
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import numpy as np
+import orlicz.functions, orlicz.sampling, orlicz.space, orlicz.wellposed
+import workloads
+
+ops, seed = int(sys.argv[1]), int(sys.argv[2])
+pkg = str(Path(orlicz.space.__file__).parent)
+norms = collections.defaultdict(collections.Counter)
+m_work = collections.defaultdict(collections.Counter)
+raw = orlicz.space.luxemburg_norm_dense
+
+
+def site():
+    frame, chain = sys._getframe(2), []
+    while frame.f_code.co_filename.startswith(pkg) and frame.f_code.co_name != "wpmc_diagnose":
+        chain.append(f"{Path(frame.f_code.co_filename).stem}.{frame.f_code.co_name}:{frame.f_lineno}")
+        frame = frame.f_back
+    return " < ".join(chain)
+
+
+def counted_norm(M, rows, *args, **kwargs):
+    norms[site()].update(calls=1, rows=len(np.atleast_2d(rows)))
+    return raw(M, rows, *args, **kwargs)
+
+
+for name, mod in list(sys.modules.items()):
+    if name.startswith("orlicz") and getattr(mod, "luxemburg_norm_dense", None) is raw:
+        mod.luxemburg_norm_dense = counted_norm
+
+
+def counted(kind, fn):
+    def call(t):
+        m_work[kind].update(calls=1, elements=np.size(t))
+        return fn(t)
+    return call
+
+
+parse_family = orlicz.functions.parse_family
+
+
+def counted_family(spec):
+    M = parse_family(spec)
+    return dataclasses.replace(M, eval=counted("eval", M.eval), deriv1=counted("deriv1", M.deriv1))
+
+
+orlicz.functions.parse_family = counted_family
+workload = workloads.Diagnose(seed)
+for r in range(ops):
+    workload.ops(r)[0].run()
+per_op = lambda c: {k: v / ops for k, v in sorted(c.items())}
+print(json.dumps({
+    "luxemburg_norm_dense": {
+        "calls": sum(c["calls"] for c in norms.values()) / ops,
+        "rows": sum(c["rows"] for c in norms.values()) / ops,
+        "sites": {s: per_op(c) for s, c in sorted(norms.items())},
+    },
+    **{f"M.{kind}": per_op(c) for kind, c in m_work.items()},
 }))
 """
 
@@ -291,7 +396,7 @@ def _help(sides: dict[str, Path]) -> dict:
 def _wellposed(sides: dict[str, Path]) -> dict:
     out = {}
     for extra in WELLPOSED_ARGS:
-        args = ["wellposed", "--family", "non-delta2", *extra]
+        args = ["wellposed", *extra]
         runs = {side: [] for side in sides}
         for seed in WELLPOSED_SEEDS:
             for side, tree in _in_turn(sides, seed):
@@ -301,6 +406,29 @@ def _wellposed(sides: dict[str, Path]) -> dict:
             "seeds": list(WELLPOSED_SEEDS),
             **_cli_entry(runs, runs["base"]),
         }
+    return out
+
+
+def _wellposed_timing(sides: dict[str, Path]) -> dict:
+    runs = {side: [] for side in sides}
+    for k in range(PAIRS):
+        for side, tree in _in_turn(sides, k):
+            cmd = [sys.executable, "-c", WELLPOSED_TIMING, str(WELLPOSED_RUNS)]
+            runs[side].append(_last_json(cmd, tree, _env(tree / "src"))["ms"])
+            print(f"wellposed in process pair {k} {side}: {runs[side][-1]:.1f} ms", file=sys.stderr)
+    return {
+        "args": ["wellposed", "--family", "non-delta2"],
+        "runs_per_process": WELLPOSED_RUNS,
+        **{side: {"ms": _summary(ms)} for side, ms in runs.items()},
+        "pairs_won_by_change": sum(c < b for b, c in zip(runs["base"], runs["change"])),
+    }
+
+
+def _diagnose_counts(sides: dict[str, Path]) -> dict:
+    out = {"ops": DIAGNOSE_OPS, "seed": SEED0}
+    for side, tree in sides.items():
+        out[side] = _last_json([sys.executable, "-c", DIAGNOSE_COUNTS, str(DIAGNOSE_OPS), str(SEED0)], tree, _env())
+        print(f"diagnose counts {side}: {out[side]['luxemburg_norm_dense']['calls']:.1f} norm calls per op", file=sys.stderr)
     return out
 
 
@@ -368,6 +496,8 @@ def main() -> int:
             "cli": _cli(sides),
             "help_identical_to_base": _help(sides),
             "wellposed": _wellposed(sides),
+            "wellposed_in_process": _wellposed_timing(sides),
+            "diagnose_counts": _diagnose_counts(sides),
             "perfbench": {
                 "seconds": seconds,
                 "workloads": _perfbench(sides, seconds),
