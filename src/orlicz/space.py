@@ -32,6 +32,8 @@ _NORM_MAX_ITER = 200
 _FULL_PRECISION = 2.0 ** -52
 # Rows per block of the dense norm, which bounds the size of its temporaries.
 _BLOCK_ROWS = 1024
+# Relative step of the forward difference that stands in for M'.
+_FD_STEP = 2.0 ** -13
 
 
 def modular(M: OrliczFunction, x: SparseSequence) -> float:
@@ -45,9 +47,9 @@ def luxemburg_norm(
     """Gauge of the modular unit ball: a one-row call of the dense kernel.
 
     With the default tol it equals luxemburg_norm_dense of the same row.
-    Newton stops a row once its step moves rho by at most tol of the new
-    rho, or once it has stepped back from past the root; when M has no
-    derivative and the kernel bisects, tol is the relative bracket width.
+    A row stops once its u-step moves rho by at most tol of the new rho, or
+    once it has stepped back from past the root; this holds with M' and
+    with the forward difference that stands in for it.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
@@ -71,9 +73,9 @@ def luxemburg_norm_dense(
     """Row-wise Luxemburg norm of a dense (n, d) block.
 
     Power families take the closed form; every other M is solved per row by
-    Newton's method on sigma(u x) = 1 in u = 1/rho, or by bisection when M
-    carries no derivative.  Rows go through in blocks of 1024, which bounds
-    the temporaries.
+    Newton's method on sigma(u x) = 1 in u = 1/rho, with sum M'(t) t as the
+    slope, or a forward difference of sigma when M carries no derivative.
+    Rows go through in blocks of 1024, which bounds the temporaries.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
@@ -92,48 +94,68 @@ def luxemburg_norm_dense(
     return out
 
 
-def _sigma(M: OrliczFunction, a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return np.asarray(M.eval(a / rho[:, None]), dtype=float).sum(axis=1)
+def _sigma(M: OrliczFunction, t: np.ndarray) -> np.ndarray:
+    return np.asarray(M.eval(t), dtype=float).sum(axis=1)
 
 
 def _norm_block(
-    M: OrliczFunction, a: np.ndarray, vmax: np.ndarray, tol: float
+    M: OrliczFunction, a: np.ndarray, vmax: np.ndarray, tol: float, level: float = 1.0
 ) -> np.ndarray:
-    """Norms of the rows of a nonnegative block a; every row max vmax > 0."""
+    """Per row of a block a >= 0 with row maxima vmax > 0, rho with sigma(a/rho) = level."""
     if M.power is not None:
-        # (s sum a^p)^(1/p), scaled by the row max so that neither a^p
-        # underflows nor overflows.
+        # (s sum a^p / level)^(1/p), scaled by the row max so that neither
+        # a^p underflows nor overflows.
         p = M.power[0]
-        if p == 1.0:  # the norm is the modular itself
-            return np.asarray(M.eval(a), dtype=float).sum(axis=1)
-        return vmax * _sigma(M, a, vmax) ** (1.0 / p)
+        if p == 1.0:  # rho is the modular itself
+            return np.asarray(M.eval(a), dtype=float).sum(axis=1) / level
+        return vmax * (_sigma(M, a / vmax[:, None]) / level) ** (1.0 / p)
     small = vmax < np.finfo(float).tiny
     if small.any():
         # For a subnormal row max, vmax/t_bar may underflow to 0: solve those
-        # rows scaled by 2^64, which is exact, and scale their norms back.
+        # rows scaled by 2^64, which is exact, and scale their rho back.
         scale = np.where(small, 2.0 ** 64, 1.0)
-        return _norm_block(M, a * scale[:, None], vmax * scale, tol) / scale
-    # sigma(x/rho) > 1 at rho = vmax/t_bar: the largest term alone is M(t_bar).
-    rho = vmax / M.t_bar
+        return _norm_block(M, a * scale[:, None], vmax * scale, tol, level) / scale
+    # sigma(a/rho) > level at rho = vmax/(t_bar max(level, 1)): the largest
+    # term alone is M(max(level, 1) t_bar) >= max(level, 1) M(t_bar) by
+    # convexity.
+    rho = vmax / (M.t_bar * max(level, 1.0))
     if M.deriv1 is None:
-        return _bisect(M, a, rho, tol)
-    # Newton on phi(u) = sigma(u a) - 1 in u = 1/rho, which is convex and
+        # Start within a factor 2 of the root: without it a steep M, such as
+        # expm1(354 t), creeps from the guard by tiny steps.
+        for _ in range(_NORM_MAX_ITER):
+            up = _sigma(M, a / (2.0 * rho)[:, None]) > level
+            if not up.any():
+                break
+            rho[up] *= 2.0
+        else:
+            raise OrliczError("bracketing failed: sigma(x/rho) stayed above the level")
+    # Newton on phi(u) = sigma(u a) - level in u = 1/rho, which is convex and
     # increasing.  With t = a/rho and q = phi / sum M'(t) t, the step is
     # rho -> rho/(1 - q): from the left of the root (q > 0) it climbs and
     # passes the root only by rounding, and it is exact where every term is
     # affine.  A row past the root (q <= 0) takes one step of Newton in rho,
     # rho -> rho(1 + q), which by convexity lands on the left, and stops.
-    # q < 1 by convexity; should a wrong M' break that, the row takes the
-    # rho-form step too, and a step that leaves (0, inf) raises.
+    # Without M', the forward difference (sigma((1 + h) t) - sigma(t)) / h
+    # takes the place of sum M'(t) t, with phi and slope both kept times h
+    # so that the slope cannot overflow.  By convexity it is the larger, so
+    # q only shrinks and each of these steps holds.  q < 1 by convexity;
+    # should a wrong M' break that, the row takes the rho-form step too, and
+    # a slope or step that leaves (0, inf) raises.
     out = np.empty_like(rho)
     live = np.arange(len(rho))
     for _ in range(_NORM_MAX_ITER):
         t = a / rho[:, None]
-        phi = np.asarray(M.eval(t), dtype=float).sum(axis=1) - 1.0
-        q = phi / (np.asarray(M.deriv1(t), dtype=float) * t).sum(axis=1)
-        rho = np.where((q > 0.0) & (q < 1.0), rho / (1.0 - q), rho * (1.0 + q))
+        sigma = _sigma(M, t)
+        if M.deriv1 is None:
+            phi, slope = (sigma - level) * _FD_STEP, _sigma(M, (1.0 + _FD_STEP) * t) - sigma
+        else:
+            phi, slope = sigma - level, (np.asarray(M.deriv1(t), dtype=float) * t).sum(axis=1)
+        if not ((slope > 0.0) & (slope < np.inf)).all():
+            raise OrliczError("the slope of sigma(x/rho) left (0, inf); check M")
+        q = phi / slope
+        rho = np.divide(rho, 1.0 - q, out=rho * (1.0 + q), where=(q > 0.0) & (q < 1.0))
         if not ((rho > 0.0) & (rho < np.inf)).all():
-            raise OrliczError("Newton step for the norm left (0, inf); check M.deriv1")
+            raise OrliczError("Newton step for the norm left (0, inf); check M")
         # The step is q of the new rho, so this stops once it is within tol.
         done = q <= tol
         if done.all():
@@ -144,29 +166,6 @@ def _norm_block(
             keep = ~done
             a, rho, live = a[keep], rho[keep], live[keep]
     raise OrliczError("Newton iteration for the norm did not converge")
-
-
-def _bisect(M: OrliczFunction, a: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """Bracket by doubling from the left guard hi, then bisect to width tol."""
-    for _ in range(_NORM_MAX_ITER):
-        need = _sigma(M, a, hi) > 1.0
-        if not need.any():
-            break
-        hi[need] *= 2.0
-    else:
-        raise OrliczError("bracketing failed: sigma(x/rho) stayed above 1")
-    lo = hi / 2.0
-    live = np.arange(len(hi))
-    for _ in range(_NORM_MAX_ITER):
-        # Each row stops at its own width, so its norm does not depend on its block.
-        live = live[hi[live] - lo[live] > tol * hi[live]]
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        above = _sigma(M, a[live], mid) > 1.0
-        lo[live[above]] = mid[above]
-        hi[live[~above]] = mid[~above]
-    return 0.5 * (lo + hi)
 
 
 def project_head(x: SparseSequence, n: int) -> SparseSequence:
@@ -236,30 +235,14 @@ def phi_bound(M: OrliczFunction, t: float) -> float:
 def scale_to_modular(
     M: OrliczFunction, x: SparseSequence, target: float, tol: float = 1e-12
 ) -> SparseSequence:
-    """Scale x so its modular hits target (bisection on the scale factor)."""
+    """Scale x so its modular hits target: x/rho with sigma(x/rho) = target.
+
+    rho is solved by the norm kernel with target in place of 1, so tol is
+    the same relative step as in luxemburg_norm.
+    """
     if target <= 0.0:
         raise DomainError(f"target modular must be > 0, got {target}")
     if not x.entries:
         raise DomainError("cannot scale the zero sequence to a positive modular")
-    absvals = np.abs(np.array(x.values(), dtype=float))
-
-    def sig(s: float) -> float:
-        return float(np.sum(np.asarray(M.eval(s * absvals), dtype=float)))
-
-    hi = 1.0
-    for _ in range(_NORM_MAX_ITER):
-        if sig(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise OrliczError("modular did not reach the target under upscaling")
-    lo = 0.0
-    for _ in range(_NORM_MAX_ITER):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if sig(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return x.scale(0.5 * (lo + hi))
+    absvals = np.abs(np.array(x.values(), dtype=float))[None, :]
+    return x.scale(1.0 / float(_norm_block(M, absvals, absvals.max(axis=1), tol, target)[0]))

@@ -1,13 +1,16 @@
 """Differential tests of the Luxemburg-norm kernel.
 
 The kernel answers power families in closed form and every other family by
-Newton's method in u = 1/rho, falling back to bisection only when M has no
-derivative.  Each path is checked here against a plain scalar bisection that
-runs the bracket down to adjacent floats, and the Newton step against the
-rho-form step it replaced.
+Newton's method in u = 1/rho, with a forward difference of the modular in
+place of M' when M has no derivative.  Each path is checked here against a
+plain scalar bisection that runs the bracket down to adjacent floats, the
+Newton step against the rho-form step it replaced, and the forward-difference
+step against Newton on the same rows.
 """
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 import orlicz.space as space
 from orlicz import (
     OrliczError,
+    OrliczFunction,
     SparseSequence,
     luxemburg_norm,
     luxemburg_norm_dense,
@@ -59,7 +63,8 @@ def newton_only(M):
 
 
 def bisection_only(M):
-    """The same function without closed form or derivative: the kernel bisects."""
+    """The same function without closed form or derivative: the kernel's
+    u-step takes a forward difference of the modular for its slope."""
     return dataclasses.replace(M, power=None, deriv1=None)
 
 
@@ -188,23 +193,21 @@ def test_scalar_norm_honours_a_loose_tol(tag):
 
 
 @pytest.mark.parametrize("tag", ("power:2", "non-delta2"))
-def test_missing_derivative_goes_through_bisection(tag, monkeypatch):
-    calls = []
-    real = space._bisect
-
-    def spy(*args):
-        calls.append(len(args[1]))
-        return real(*args)
-
-    monkeypatch.setattr(space, "_bisect", spy)
+def test_missing_derivative_takes_the_forward_difference(tag, monkeypatch):
     M = bisection_only(parse_family(tag))
+    newton = newton_only(parse_family(tag))
     rows = np.random.default_rng(9).standard_normal((30, 5))
     norms = luxemburg_norm_dense(M, rows)
-    assert calls == [30]
     for row, n in zip(rows, norms):
         assert rel_err(n, reference_norm(M, row)) <= 1e-12
-    luxemburg_norm(newton_only(parse_family(tag)), SparseSequence.from_pairs([(1, 1.0)]))
-    assert calls == [30]
+    # A forward difference that cannot be taken stops every solve without
+    # M', and none with M' notices it.
+    expected = luxemburg_norm_dense(newton, rows)
+    monkeypatch.setattr(space, "_FD_STEP", math.nan)
+    with pytest.raises(OrliczError):
+        luxemburg_norm_dense(M, rows)
+    np.testing.assert_array_equal(luxemburg_norm_dense(newton, rows), expected)
+    luxemburg_norm(newton, SparseSequence.from_pairs([(1, 1.0)]))
 
 
 @given(values=st.lists(st.one_of(signed, st.just(0.0)), min_size=1, max_size=7))
@@ -221,10 +224,11 @@ def test_scalar_norm_is_the_dense_row(values):
 
 @pytest.mark.parametrize("tag", ("power:1.5", "non-delta2"))
 def test_bisection_row_does_not_depend_on_its_block(tag):
-    # Each row stops bisecting at its own bracket width, so a row solved
-    # alone, or within any subset of its block, gives the same float.
-    # On a power family the row (2, 0, ...) brackets its norm exactly
-    # and is done long before the random rows.
+    # Each row doubles its start and stops stepping on its own test, so a
+    # row solved alone, or within any subset of its block, gives the same
+    # float.  On a power family the row (2, 0, ...) has one term, where the
+    # forward difference is exact up to rounding, and is done long before
+    # the random rows.
     M = bisection_only(parse_family(tag))
     rng = np.random.default_rng(8)
     block = rng.standard_normal((300, 6)) * rng.uniform(0.01, 10.0, size=(300, 1))
@@ -317,3 +321,72 @@ def test_an_understated_derivative_never_gives_a_negative_norm(row, factor):
         except OrliczError:
             return
     assert np.isfinite(got).all() and (got > 0.0).all()
+
+
+@pytest.mark.parametrize("tag", sorted(NEWTON_FAMILIES))
+@given(rows=st.lists(wide_rows, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_forward_difference_step_stays_within_4_ulp_of_newton(tag, rows):
+    M = NEWTON_FAMILIES[tag]
+    width = max(len(r) for r in rows)
+    block = np.array([r + [0.0] * (width - len(r)) for r in rows])
+    got = luxemburg_norm_dense(dataclasses.replace(M, deriv1=None), block)
+    assert ulps_apart(got, luxemburg_norm_dense(M, block)).max() <= 4
+    residual = np.asarray(M.eval(block / got[:, None]), dtype=float).sum(axis=1) - 1.0
+    assert np.abs(residual).max() <= 1e-13
+
+
+def item4_block(seed, rows, width):
+    """Random rows with about 30% zeros and row magnitudes 1e-4 to 1e2."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((rows, width)) * 10 ** rng.uniform(-4, 2, (rows, 1))
+    block[rng.random(block.shape) < 0.3] = 0.0
+    return block
+
+
+@pytest.mark.parametrize("tag", sorted(NEWTON_FAMILIES))
+def test_forward_difference_solves_a_block_in_at_most_24_sigma_passes(tag):
+    # Bisection took 56 to 60 passes per block.
+    M = dataclasses.replace(NEWTON_FAMILIES[tag], deriv1=None)
+    block = item4_block(4, 1024, 8)
+    counts = [_passes(M, block)[0] for _ in range(2)]
+    assert counts[0] == counts[1] <= 24
+
+
+def test_flat_function_without_derivative():
+    flat = OrliczFunction(eval=lambda t: np.maximum(np.asarray(t, dtype=float) - 1.0, 0.0),
+                          t_bar=4.0, family_tag="flat")
+    got = luxemburg_norm_dense(flat, np.array([[1.0, 0.5, 0.0], [3.0, 0.0, 0.0]]))
+    np.testing.assert_array_equal(got, [0.5, 1.5])
+
+
+def steep(deriv1):
+    """expm1(354 t): M(t_bar = 2) is finite, but M'(2) overflows; the norm of (1) is 354/ln 2."""
+    return OrliczFunction(
+        eval=lambda t: np.expm1(354.0 * np.asarray(t, dtype=float)),
+        deriv1=(lambda t: 354.0 * np.exp(354.0 * np.asarray(t, dtype=float))) if deriv1 else None,
+        t_bar=2.0,
+        family_tag="steep",
+    )
+
+
+def test_steep_function_without_derivative_doubles_its_start():
+    x = SparseSequence.from_pairs([(1, 1.0)])
+    n = luxemburg_norm(steep(deriv1=False), x)
+    assert rel_err(n, 354.0 / math.log(2.0)) <= 1e-15
+    assert rel_err(n, reference_norm(steep(deriv1=False), [1.0])) <= 1e-12
+
+
+def test_an_overflowing_slope_never_counts_as_converged():
+    # Sum M'(t) t is inf at the start, so q = phi/inf = 0 once returned the start 0.5.
+    with np.errstate(over="ignore"), pytest.raises(OrliczError):
+        luxemburg_norm(steep(deriv1=True), SparseSequence.from_pairs([(1, 1.0)]))
+
+
+@pytest.mark.parametrize("seed", (0, 7, 9))
+def test_an_understated_derivative_raises_without_a_warning(seed):
+    M = dataclasses.replace(MN, deriv1=lambda t: 0.5 * MN.deriv1(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OrliczError):
+            luxemburg_norm_dense(M, item4_block(seed, 2000, 8))

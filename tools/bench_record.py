@@ -45,6 +45,18 @@ directory.  The record holds:
   per call site (the chain of `orlicz` frames below `wpmc_diagnose`, as
   `module.function:line`), and `M.eval` and `deriv1` calls and elements,
   counted by wrapping the functions in process;
+- Tier-1 on each side, in TIER1_PAIRS alternating base/change pairs of
+  `pytest --durations=0` runs: the median and quartiles of the wall time,
+  the pass and fail counts of each run, and the median duration of each
+  test that runs the norm kernel without M' (the "/bisect" cases, with the
+  other cases of the same parametrized tests for comparison, and the tests
+  that call `bisection_only`);
+- the norm kernel without M' on the sets of DERIVATIVE_FREE: 2,000 random
+  rows of widths 8 and 40, about 30% zeros and row magnitudes 1e-4 to 1e2,
+  on non-delta2, power:1.5 and power:3 with closed form and deriv1 removed:
+  M.eval passes per 1,024-row block, the median ms of one solve, and the
+  largest ulp distance and |sigma(x/rho) - 1| against the same family's
+  Newton norm (deriv1 kept), on each side;
 - the host: `nproc`, the Python and numpy versions.
 
 Runs go one at a time, with BLAS and OpenMP capped at one thread and
@@ -54,9 +66,11 @@ ORLICZ_SEED unset outside the wellposed set, so two cores suffice.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import platform
+import re
 import shlex
 import statistics
 import struct
@@ -89,6 +103,14 @@ WELLPOSED_ARGS = (
 # perfbench diagnose operations per side whose work is counted.
 WELLPOSED_RUNS = 5
 DIAGNOSE_OPS = 20
+# Alternating base/change pairs of Tier-1 runs, and the pytest arguments of
+# one run.  Node ids that contain one of TIER1_KERNEL_TESTS, and the other
+# cases of a parametrized test with a "/bisect" case, get their durations
+# recorded.
+TIER1_PAIRS = 5
+TIER1_ARGS = ("--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0", "--durations-min=0")
+TIER1_KERNEL_TESTS = ("/bisect", "bisection", "forward_difference",
+                      "test_closed_form_newton_and_reference_agree", "test_scalar_norm_honours_a_loose_tol")
 # Direction of each perfbench end-to-end metric, as BENCHMARK.json declares it.
 LOWER_IS_BETTER = {"setup_s": True, "op_ms": True, "ops_per_s": False, "peak_rss_mb": True}
 THREAD_VARS = (
@@ -249,6 +271,46 @@ print(json.dumps({
     },
     **{f"M.{kind}": per_op(c) for kind, c in m_work.items()},
 }))
+"""
+
+
+# The norm kernel without M' on the item sets; prints one JSON line.  A solve
+# of 2,000 rows is two blocks, of 1,024 and 976 rows.
+DERIVATIVE_FREE = r"""
+import dataclasses, json, statistics, time
+import numpy as np
+from orlicz import luxemburg_norm_dense, parse_family
+
+out = {}
+for tag in ("non-delta2", "power:1.5", "power:3"):
+    newton = dataclasses.replace(parse_family(tag), power=None)
+    free = dataclasses.replace(newton, deriv1=None)
+    for width in (8, 40):
+        rng = np.random.default_rng(width)
+        rows = rng.standard_normal((2000, width)) * 10 ** rng.uniform(-4, 2, (2000, 1))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        calls = []
+
+        def counting(t):
+            calls.append(1)
+            return free.eval(t)
+
+        got = luxemburg_norm_dense(dataclasses.replace(free, eval=counting), rows)
+        ms = []
+        for _ in range(7):
+            start = time.perf_counter()
+            luxemburg_norm_dense(free, rows)
+            ms.append((time.perf_counter() - start) * 1e3)
+        ref = luxemburg_norm_dense(newton, rows)
+        nz = ref > 0.0
+        residual = np.asarray(newton.eval(np.abs(rows[nz]) / got[nz, None]), dtype=float).sum(axis=1) - 1.0
+        out[f"{tag} width {width}"] = {
+            "sigma_passes_per_block": len(calls) / 2,
+            "ms": statistics.median(ms),
+            "max_ulps_from_newton": int(np.abs(got[nz].view(np.int64) - ref[nz].view(np.int64)).max()),
+            "max_abs_residual": float(np.abs(residual).max()),
+        }
+print(json.dumps(out))
 """
 
 
@@ -424,6 +486,48 @@ def _wellposed_timing(sides: dict[str, Path]) -> dict:
     }
 
 
+def _tier1_run(tree: Path) -> dict:
+    """Wall seconds, outcome counts and per-test durations of one Tier-1 run."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *TIER1_ARGS], cwd=tree,
+                          env=_env(tree / "src"), capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?|skipped)", lines[-1])}
+    durations = collections.Counter()
+    for m in re.finditer(r"^([\d.]+)s (?:setup|call|teardown) +(\S+)$", proc.stdout, re.M):
+        durations[m[2]] += float(m[1])
+    return {"seconds": seconds, "counts": counts, "durations": durations}
+
+
+def _tier1(sides: dict[str, Path]) -> dict:
+    runs = {side: [] for side in sides}
+    for k in range(TIER1_PAIRS):
+        for side, tree in _in_turn(sides, k):
+            runs[side].append(_tier1_run(tree))
+            print(f"tier-1 pair {k} {side}: {runs[side][-1]['seconds']:.1f} s {runs[side][-1]['counts']}", file=sys.stderr)
+    out = {"pytest_args": list(TIER1_ARGS)}
+    for side, rs in runs.items():
+        ids = set().union(*(r["durations"] for r in rs))
+        bisect_tests = {i.split("[")[0] for i in ids if "/bisect" in i}
+        kept = sorted(i for i in ids if i.split("[")[0] in bisect_tests or any(p in i for p in TIER1_KERNEL_TESTS))
+        out[side] = {
+            "seconds": _summary([r["seconds"] for r in rs]),
+            "counts": [r["counts"] for r in rs],
+            "kernel_test_median_s": {i: statistics.median(r["durations"][i] for r in rs) for i in kept},
+        }
+    return out
+
+
+def _derivative_free(sides: dict[str, Path]) -> dict:
+    out = {}
+    for side, tree in sides.items():
+        out[side] = _last_json([sys.executable, "-c", DERIVATIVE_FREE], tree, _env(tree / "src"))
+        print(f"derivative-free kernel {side}: " + ", ".join(
+            f"{k} {v['sigma_passes_per_block']:g}" for k, v in out[side].items()), file=sys.stderr)
+    return out
+
+
 def _diagnose_counts(sides: dict[str, Path]) -> dict:
     out = {"ops": DIAGNOSE_OPS, "seed": SEED0}
     for side, tree in sides.items():
@@ -498,6 +602,8 @@ def main() -> int:
             "wellposed": _wellposed(sides),
             "wellposed_in_process": _wellposed_timing(sides),
             "diagnose_counts": _diagnose_counts(sides),
+            "tier1": _tier1(sides),
+            "derivative_free_kernel": _derivative_free(sides),
             "perfbench": {
                 "seconds": seconds,
                 "workloads": _perfbench(sides, seconds),
