@@ -150,11 +150,11 @@ def _norm_block(
             phi, slope = (sigma - level) * _FD_STEP, _sigma(M, (1.0 + _FD_STEP) * t) - sigma
         else:
             phi, slope = sigma - level, (np.asarray(M.deriv1(t), dtype=float) * t).sum(axis=1)
-        if not ((slope > 0.0) & (slope < np.inf)).all():
+        if not 0.0 < slope.min() <= slope.max() < np.inf:
             raise OrliczError("the slope of sigma(x/rho) left (0, inf); check M")
         q = phi / slope
         rho = np.divide(rho, 1.0 - q, out=rho * (1.0 + q), where=(q > 0.0) & (q < 1.0))
-        if not ((rho > 0.0) & (rho < np.inf)).all():
+        if not 0.0 < rho.min() <= rho.max() < np.inf:
             raise OrliczError("Newton step for the norm left (0, inf); check M")
         # The step is q of the new rho, so this stops once it is within tol.
         done = q <= tol
