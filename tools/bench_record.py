@@ -274,8 +274,8 @@ print(json.dumps({
 """
 
 
-# The norm kernel without M' on the item sets; prints one JSON line.  A solve
-# of 2,000 rows is two blocks, of 1,024 and 976 rows.
+# The norm kernel without M' on random rows of widths 8 and 40; prints one
+# JSON line.  A solve of 2,000 rows is two blocks, of 1,024 and 976 rows.
 DERIVATIVE_FREE = r"""
 import dataclasses, json, statistics, time
 import numpy as np
