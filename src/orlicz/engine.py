@@ -512,12 +512,9 @@ def supporting_functional(
     > 0, the subgradient inequality is spot-checked on that many seeded
     points of the K-ball (tolerance 1e-10) before returning.
     """
-    pairs = []
-    for idx, val in x_bar.entries:
-        slope = a.weight_at(idx) * M.d1(abs(val)) * math.copysign(1.0, val)
-        if slope != 0.0:
-            pairs.append((idx, slope))
-    p = SparseSequence(tuple(pairs))
+    p = SparseSequence.from_pairs(
+        (idx, a.weight_at(idx) * M.d1(abs(val)) * math.copysign(1.0, val)) for idx, val in x_bar.entries
+    )
     norm_bound = 2.0 * a.sup_norm * nu_bound(M, K + 2.0)
 
     if check_samples > 0:

@@ -17,8 +17,9 @@ __all__ = ["SparseSequence", "parse_sequence", "format_sequence", "to_jsonable"]
 class SparseSequence:
     """Entries (index, value) with strictly increasing indices >= 1, values != 0.
 
-    Immutable; arithmetic merges supports and drops exact-zero results, so
-    the representation is always canonical and equality is structural.
+    Immutable.  Every result that may hold a zero, from arithmetic, scaling
+    or a dense prefix, is built by from_pairs, which drops it, so the
+    representation is always canonical and equality is structural.
     """
 
     entries: tuple[tuple[int, float], ...] = field(default=())
@@ -46,9 +47,7 @@ class SparseSequence:
     @classmethod
     def from_values(cls, values: Sequence[float], start: int = 1) -> "SparseSequence":
         """Dense prefix -> sparse form, indices start..start+len-1, zeros dropped."""
-        return cls.from_pairs(
-            (start + i, v) for i, v in enumerate(values) if float(v) != 0.0
-        )
+        return cls.from_pairs(enumerate(values, start))
 
     def __iter__(self) -> Iterator[tuple[int, float]]:
         return iter(self.entries)
@@ -65,12 +64,7 @@ class SparseSequence:
         return self.entries[-1][0] if self.entries else 0
 
     def value_at(self, index: int) -> float:
-        for idx, val in self.entries:
-            if idx == index:
-                return val
-            if idx > index:
-                break
-        return 0.0
+        return dict(self.entries).get(index, 0.0)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(idx for idx, _ in self.entries)
@@ -79,9 +73,8 @@ class SparseSequence:
         return tuple(val for _, val in self.entries)
 
     def scale(self, factor: float) -> "SparseSequence":
-        if factor == 0.0:
-            return SparseSequence()
-        return SparseSequence(tuple((i, v * factor) for i, v in self.entries))
+        """Entries times factor; a product that is 0, by factor 0 or by underflow, is dropped."""
+        return SparseSequence.from_pairs((i, v * factor) for i, v in self.entries)
 
     def __mul__(self, factor: float) -> "SparseSequence":
         return self.scale(float(factor))
@@ -92,23 +85,11 @@ class SparseSequence:
         return self.scale(-1.0)
 
     def _merge(self, other: "SparseSequence", sign: float) -> "SparseSequence":
-        out: list[tuple[int, float]] = []
-        a, b = self.entries, other.entries
-        i = j = 0
-        while i < len(a) or j < len(b):
-            if j >= len(b) or (i < len(a) and a[i][0] < b[j][0]):
-                out.append(a[i])
-                i += 1
-            elif i >= len(a) or b[j][0] < a[i][0]:
-                out.append((b[j][0], sign * b[j][1]))
-                j += 1
-            else:
-                v = a[i][1] + sign * b[j][1]
-                if v != 0.0:
-                    out.append((a[i][0], v))
-                i += 1
-                j += 1
-        return SparseSequence(tuple(out))
+        # 0.0 + x is x for nonzero x, so an index of other alone gets sign * v.
+        out = dict(self.entries)
+        for i, v in other.entries:
+            out[i] = out.get(i, 0.0) + sign * v
+        return SparseSequence.from_pairs(out.items())
 
     def __add__(self, other: "SparseSequence") -> "SparseSequence":
         return self._merge(other, 1.0)

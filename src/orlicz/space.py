@@ -60,11 +60,12 @@ def luxemburg_norm(
 
 
 def modular_dense(M: OrliczFunction, rows: np.ndarray) -> np.ndarray:
-    """Row-wise modular of a dense (n, d) block."""
+    """Row-wise modular of a dense (n, d) block; a term or sum that overflows is +inf."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows[None, :]
-    return np.asarray(M.eval(np.abs(rows)), dtype=float).sum(axis=1)
+    with np.errstate(over="ignore"):
+        return np.asarray(M.eval(np.abs(rows)), dtype=float).sum(axis=1)
 
 
 def luxemburg_norm_dense(
@@ -107,7 +108,7 @@ def _norm_block(
         # a^p underflows nor overflows.
         p = M.power[0]
         if p == 1.0:  # rho is the modular itself
-            return np.asarray(M.eval(a), dtype=float).sum(axis=1) / level
+            return modular_dense(M, a) / level
         return vmax * (_sigma(M, a / vmax[:, None]) / level) ** (1.0 / p)
     small = vmax < np.finfo(float).tiny
     if small.any():

@@ -2,10 +2,13 @@ import argparse
 import dataclasses
 import importlib
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -488,3 +491,44 @@ def test_successive_calls_in_one_process_match_fresh_processes(capsys):
     for argv, (rc, out, err) in zip(SUCCESSIVE_RUNS, in_process):
         fresh = subprocess.run([sys.executable, "-m", "orlicz.cli", *argv], env=env, capture_output=True, text=True)
         assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def _readme_invocations():
+    """The arguments of each `orlicz ...` line of the README, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("orlicz ")]
+
+
+# Runs that overflow M or the modular on purpose: the payload carries +inf,
+# and the run still succeeds.
+OVERFLOWING_RUNS = [
+    ["norm", "--family", "power:110", "--sequence", "1:1e10"],
+    ["norm", "--family", "power:2", "--sequence", "1:1e154,2:1e154"],
+    ["norm", "--family", "power:1:1e300", "--sequence", "1:1e10"],
+    ["wellposed", "--family", "power:110", "--samples", "20", "--radius", "1e10"],
+    ["wellposed", "--family", "power:3", "--samples", "20", "--radius", "1e300"],
+]
+SILENT_RUNS = [
+    *_readme_invocations(),
+    ["wellposed", "--family", "non-delta2"],
+    ["wellposed", "--family", "non-delta2", "--samples", "100", "--levels", "0.25,0.0625,0.015625"],
+    ["wellposed", "--family", "power:1.5", "--objective", "sqdist:1:0.3,2:-0.2"],
+    *OVERFLOWING_RUNS,
+]
+
+
+def test_the_readme_has_eight_invocations():
+    assert [argv[0] for argv in _readme_invocations()] == [
+        "norm", "delta2", "solve", "support", "wellposed", "witness", "probe", "classify",
+    ]
+
+
+@pytest.mark.parametrize("argv", SILENT_RUNS, ids=shlex.join)
+def test_runs_that_exit_0_are_silent_under_warnings_as_errors(capsys, monkeypatch, argv):
+    monkeypatch.setenv("ORLICZ_SEED", "0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    if argv[0] == "norm" and argv in OVERFLOWING_RUNS:
+        assert payload(out)["modular"] == math.inf

@@ -344,6 +344,14 @@ def test_supporting_functional_closed_form():
     assert p_zero == SparseSequence()
 
 
+def test_supporting_functional_leaves_a_zero_slope_out():
+    # M'(t) = 3 t^2 underflows to 0 at t = 1e-200.
+    M3 = make_power(3.0)
+    x_bar = SparseSequence.from_pairs([(1, 1e-200), (2, -0.5)])
+    p, _ = supporting_functional(M3, PerturbationWeights(tail=1.0), x_bar, 1.0)
+    assert p.entries == ((2, -0.75),)
+
+
 def test_supporting_functional_subgradient_inequality():
     a = PerturbationWeights(head=(0.8, 0.3), tail=0.5)
     x_bar = SparseSequence.from_pairs([(1, 0.4), (3, -0.2)])

@@ -201,3 +201,10 @@ def test_scale_to_modular_round_trip():
         scale_to_modular(M2, x, 0.0)
     with pytest.raises(DomainError):
         scale_to_modular(M2, SparseSequence(), 1.0)
+
+
+def test_scale_to_modular_drops_an_entry_that_underflows():
+    # rho = 1e150, so the first entry scales to 1e-350, which is 0 in floats.
+    y = scale_to_modular(M2, SparseSequence.from_pairs([(1, 1e-200), (2, 1.0)]), target=1e-300)
+    assert y.entries == ((2, 1e-150),)
+    assert modular(M2, y) == pytest.approx(1e-300, rel=1e-12)

@@ -24,8 +24,11 @@ directory.  The record holds:
   alternating base/change pairs of fresh processes, with the median and
   quartiles of the wall time, the exit codes, whether every stdout is
   byte-identical to the base's, the largest ulp distance between its JSON
-  floats and the base's (0 where stdout is identical), and whether every
-  key, string, int, bool and exit code is identical;
+  floats and the base's (0 where stdout is identical), whether every key,
+  string, int, bool and exit code is identical, and whether every run that
+  exits 0 leaves stderr empty;
+- the edge set: the runs of EDGE_RUNS, which overflow M or the modular on
+  purpose, compared the same way;
 - the help texts: `orlicz --help` and `orlicz <command> --help` for each
   command at COLUMNS=80, once per side, and whether each is byte-identical
   to the base's;
@@ -33,8 +36,8 @@ directory.  The record holds:
   of WELLPOSED_ARGS (the CLI's defaults on non-delta2 first), once per
   ORLICZ_SEED in WELLPOSED_SEEDS on each side, with the median wall time,
   the exit codes, whether every stdout is byte-identical to the base's for
-  the same seed, and the same float and non-float comparison as the README
-  invocations;
+  the same seed, and the same float, non-float and stderr checks as the
+  README invocations;
 - the CLI-default `orlicz wellposed --family non-delta2` (8 levels, 400
   samples) timed in process: `orlicz.cli.main` with stdout discarded, the
   median of WELLPOSED_RUNS calls after one warm-up call, in a fresh process
@@ -84,6 +87,15 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid", "diagnose", "cli-light")
+# Runs that overflow M or the modular on purpose; each exits 0 with +inf in
+# its payload.
+EDGE_RUNS = (
+    ("norm", "--family", "power:110", "--sequence", "1:1e10"),
+    ("norm", "--family", "power:2", "--sequence", "1:1e154,2:1e154"),
+    ("norm", "--family", "power:1:1e300", "--sequence", "1:1e10"),
+    ("wellposed", "--family", "power:110", "--samples", "20", "--radius", "1e10"),
+    ("wellposed", "--family", "power:3", "--samples", "20", "--radius", "1e300"),
+)
 # Fresh-process runs per criterion and side, alternating base/change pairs
 # per README invocation and per workload, and the perfbench seed of the
 # first pair.  A process takes about 0.25 s and the host's load moves that
@@ -377,14 +389,14 @@ def _readme_invocations() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("orlicz ")]
 
 
-def _run_cli(tree: Path, args: list[str], seed: int | None = None, **env_vars: str) -> tuple[float, int, bytes]:
-    """Wall seconds, exit code and stdout of one `orlicz` run in a fresh process."""
+def _run_cli(tree: Path, args: list[str], seed: int | None = None, **env_vars: str) -> tuple[float, int, bytes, bytes]:
+    """Wall seconds, exit code, stdout and stderr of one `orlicz` run in a fresh process."""
     env = dict(_env(tree / "src"), **env_vars)
     if seed is not None:
         env["ORLICZ_SEED"] = str(seed)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "orlicz.cli", *args], cwd=tree, env=env, capture_output=True)
-    return time.perf_counter() - start, proc.returncode, proc.stdout
+    return time.perf_counter() - start, proc.returncode, proc.stdout, proc.stderr
 
 
 def _float_key(x: float) -> int:
@@ -418,7 +430,8 @@ def _stdout_compare(out: bytes, base: bytes) -> tuple[bool, int]:
 def _cli_entry(runs: dict[str, list], base_runs: list[tuple]) -> dict:
     """Each side's runs, run k compared with base_runs[k]: byte for byte, and
     as JSON, by the largest ulp distance between floats and whether every
-    key, string, int, bool and exit code is identical."""
+    key, string, int, bool and exit code is identical; and whether each run
+    that exits 0 leaves stderr empty."""
     entry = {}
     for side, rs in runs.items():
         compared = [_stdout_compare(r[2], b[2]) for r, b in zip(rs, base_runs)]
@@ -429,13 +442,14 @@ def _cli_entry(runs: dict[str, list], base_runs: list[tuple]) -> dict:
             "max_float_ulps_from_base": max(c[1] for c in compared),
             "all_but_floats_identical_to_base": all(c[0] for c in compared)
             and all(r[1] == b[1] for r, b in zip(rs, base_runs)),
+            "stderr_empty_on_exit_0": all(not r[3] for r in rs if r[1] == 0),
         }
     return entry
 
 
-def _cli(sides: dict[str, Path]) -> dict:
+def _cli(sides: dict[str, Path], invocations: list[list[str]]) -> dict:
     out = {}
-    for args in _readme_invocations():
+    for args in invocations:
         runs = {side: [] for side in sides}
         for k in range(CLI_PAIRS):
             for side, tree in _in_turn(sides, k):
@@ -597,7 +611,8 @@ def main() -> int:
                 "machine": platform.machine(),
             },
             "criteria": _criteria(sides),
-            "cli": _cli(sides),
+            "cli": _cli(sides, _readme_invocations()),
+            "edge": _cli(sides, [list(args) for args in EDGE_RUNS]),
             "help_identical_to_base": _help(sides),
             "wellposed": _wellposed(sides),
             "wellposed_in_process": _wellposed_timing(sides),
