@@ -27,7 +27,6 @@ from .space import (
     modular,
     nu_bound,
     phi_bound,
-    project_tail,
 )
 from .weights import PerturbationWeights, g_eval, g_eval_dense
 
@@ -110,9 +109,10 @@ class GridOracle:
     The grid is the product of one axis of 2n+1 values per coordinate,
     flattened in C order (meshgrid "ij"), so flat index k maps to a row
     through np.unravel_index.  Exact on its own grid, so it meets any
-    accuracy request.  outer_sum() builds a separable sum such as g_a or
-    sigma from one vector per axis, and evaluate() streams the grid in
-    flat-index chunks through a row evaluator; neither holds the whole
+    accuracy request.  outer_sum() builds a separable sum such as f or
+    sigma from one vector per axis over the whole grid, sum_at() the same
+    sum, such as g_a, at given flat indices only, and evaluate() streams the
+    grid in flat-index chunks through a row evaluator; none holds the whole
     (points, d) array, which grid() builds only on request.
     """
 
@@ -146,7 +146,7 @@ class GridOracle:
         return self.rows_at(np.arange(self.points))
 
     def sequence_at(self, row: int) -> SparseSequence:
-        return SparseSequence.from_pairs(zip(self.indices, self.rows_at(row)))
+        return SparseSequence.from_pairs(zip(self.indices, self.axis[list(np.unravel_index(row, self._shape))]))
 
     def evaluate(self, dense_fn: Callable) -> np.ndarray:
         """dense_fn's values over the whole grid, streamed in flat-index chunks."""
@@ -181,13 +181,17 @@ class GridOracle:
             np.add.outer(functools.reduce(np.add.outer, parts[:-1]), parts[-1], out=out.reshape(self._shape))
         return out
 
-    def weighted_modular(
-        self, M: OrliczFunction, a: PerturbationWeights, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """g_a at every grid point, in flat order: the outer sum of a_i M(|axis|), into out if given."""
-        with np.errstate(over="ignore"):  # M(|axis|) = inf past the float range is right
-            m_axis = np.asarray(M.eval(np.abs(self.axis)), dtype=float)
-        return self.outer_sum(lambda axis, i: a.weight_at(i) * m_axis, out)
+    def sum_at(self, parts: list[np.ndarray], flat: np.ndarray) -> np.ndarray:
+        """sum_j parts[j][k_j] at the given flat indices, added left to right.
+
+        parts holds one vector of length 2n+1 per axis, as outer_sum's term
+        gives them; the sums are outer_sum's at the same points, bit for bit.
+        """
+        ks = np.unravel_index(flat, self._shape)
+        out = parts[0][ks[0]]
+        for part, k in zip(parts[1:], ks[1:]):
+            out += part[k]
+        return out
 
     def describe(self) -> str:
         return (
@@ -298,59 +302,93 @@ def construct_local_perturbation(
 
     theta = min(eps / 2.0, delta / (4.0 * nu_bound(M, K)))
     tail_budget = delta / 2.0
-    # The scan ends by x.max_index at the latest: the tail modular is 0 there.
-    N = 0
-    while eps * modular(M, project_tail(x, N)) >= tail_budget:
-        N += 1
+    # N is the least head length whose tail modular times eps is below the
+    # budget.  The tail beyond N is terms[j:] for N in [indices[j-1],
+    # indices[j]), so N is 0 or one of x's indices; the scan ends at j =
+    # len(terms) at the latest, where the tail modular is 0.
+    indices = x.indices()
+    with np.errstate(over="ignore"):  # as in modular: a term past the float range is inf
+        terms = np.asarray(M.eval(np.abs(np.array(x.values(), dtype=float))), dtype=float)
+    j = next(j for j in range(len(terms) + 1) if eps * terms[j:].sum() < tail_budget)
+    N = indices[j - 1] if j else 0
     a = PerturbationWeights(head=(theta,) * N, tail=eps)
     return a, delta
 
 
 def _total_values(
-    M: OrliczFunction,
     f: Objective,
-    weights: PerturbationWeights,
     oracle: GridOracle,
+    parts: list[np.ndarray],
     base: np.ndarray,
-    out: np.ndarray,
-) -> tuple[int, float]:
-    """The flat argmin k of f + g_a over the grid and the lowest total vals[k].
+    slab_min: np.ndarray,
+    refs: tuple[int, ...],
+    level: float,
+) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """The flat argmin k of f + g_a over the grid and the lowest total, with
+    the flat indices, in flat order, and the totals of a set of points that
+    holds every point whose total is at most lowest + level.
 
-    The totals go into out, from f's values base (computed once per solve),
-    or are base itself, never written, when all weights are zero.  Checked by
-    the one argmin, which finds the first NaN if any: NaN, +inf everywhere
-    and a total below f's lower bound (-inf included) each raise.
+    parts are g_a's per-axis terms a_i M(|axis|) and base is f's values.
+    g_a >= 0 and rounding is monotone, so no total is below f's value at its
+    point, and none in leading-axis slab s is below the slab's bound
+    ((parts[0][s] + min parts[1]) + ...) + slab_min[s], f's minimum over
+    the slab.  The reference, the smallest total at refs and at the point
+    of the lowest-bound slab where every other axis term is smallest, is at
+    least the lowest total.  So g_a is summed as outer_sum sums it, then
+    + f, only from the first to the last slab whose bound is at most the
+    reference + level, and there only where f is at most it too; the argmin
+    (the first flat index on ties) and every total are the whole grid's,
+    bit for bit, and so are the checks (base holds no NaN): a NaN total
+    anywhere, +inf everywhere and a total below f's lower bound (-inf
+    included) each raise.
     """
-    if weights.sup_norm == 0.0:
-        vals = base
-    else:
-        vals = oracle.weighted_modular(M, weights, out)
-        vals += base
-    k = int(np.argmin(vals))
-    lowest = float(vals[k])
+
+    def totals(flat: np.ndarray) -> np.ndarray:
+        vals = oracle.sum_at(parts, flat)
+        vals += base[flat]
+        return vals
+
+    bound = parts[0]
+    for part in parts[1:]:
+        bound = bound + part.min()
+    bound = bound + slab_min
+    corner = (int(np.argmin(bound)), *(int(np.argmin(part)) for part in parts[1:]))
+    reference = float(totals(np.array([*refs, np.ravel_multi_index(corner, oracle._shape)])).min())
+    # A NaN bound is a NaN term, or +inf terms over a slab where f is -inf.
+    if math.isnan(reference) or np.isnan(bound).any():
+        raise OrliczError("objective returned NaN on the grid")
+    cut = reference + level
+    slabs = np.flatnonzero(bound <= cut)  # never empty: it holds the reference point's slab
+    slab_points = oracle.points // len(oracle.axis)
+    lo, hi = slabs[0] * slab_points, (slabs[-1] + 1) * slab_points
+    flat = lo + np.flatnonzero(base[lo:hi] <= cut)
+    vals = totals(flat)
+    i = int(np.argmin(vals))
+    lowest = float(vals[i])
     if math.isnan(lowest):
         raise OrliczError("objective returned NaN on the grid")
     if lowest == math.inf:
         raise NotProperError("objective is +inf on the whole grid")
     if lowest == -math.inf or lowest < f.lower_bound - 1e-9 * (1.0 + abs(f.lower_bound)):
         raise OrliczError(f"objective dipped below its declared lower bound {f.lower_bound}")
-    return k, lowest
+    return int(flat[i]), lowest, flat, vals
 
 
 def _tail_proxy(
     M: OrliczFunction,
     oracle: GridOracle,
+    flat: np.ndarray,
     vals: np.ndarray,
     lowest: float,
     level: float,
     head_len: int,
     cap: int = 10000,
 ) -> float:
-    """Max tail norm over sampled near-minimizers of the sweep vals, whose minimum is lowest."""
+    """Max tail norm over sampled near-minimizers: the points flat, whose totals are vals, within level of lowest."""
     tail_cols = [j for j, idx in enumerate(oracle.indices) if idx > head_len]
     if not tail_cols:
         return 0.0
-    rows = np.flatnonzero(vals <= lowest + level)[:cap]
+    rows = flat[vals <= lowest + level][:cap]
     block = oracle.rows_at(rows)[:, tail_cols]
     norms = luxemburg_norm_dense(M, block)
     return float(norms.max()) if norms.size else 0.0
@@ -381,13 +419,31 @@ def perturb_minimize(
         raise DomainError(f"budget must be >= 1, got {budget}")
     f.assert_proper()
     _require_constant(M)  # every round needs it: fail before the sweep
-    # f does not change between rounds; only g_a does, into one totals buffer.
+    # f does not change between rounds; its minimum per leading-axis slab,
+    # its first argmin (the first NaN if any: a slab minimum is NaN where its
+    # slab holds one) and M on the axis are taken once, and each round sums
+    # g_a + f only where its minimizer can be.
     base = _grid_values(f, oracle)
-    vals = np.empty(oracle.points)
+    slabs = base.reshape(len(oracle.axis), -1)
+    slab_min = slabs.min(axis=1)
+    s = int(np.argmin(slab_min))
+    k_f = s * slabs.shape[1] + int(np.argmin(slabs[s]))
+    if math.isnan(base[k_f]):
+        raise OrliczError("objective returned NaN on the grid")
+    with np.errstate(over="ignore"):  # M(|axis|) = inf past the float range is right
+        m_axis = np.asarray(M.eval(np.abs(oracle.axis)), dtype=float)
+
+    def round_totals(weights: PerturbationWeights, refs: tuple[int, ...], level: float):
+        # All-zero weights take M as -0.0, so every term is -0.0, the additive
+        # identity, and the totals are f's values bit for bit; 0 * M(|axis|)
+        # is NaN where M is inf.
+        m = m_axis if weights.sup_norm > 0.0 else np.full_like(m_axis, -0.0)
+        parts = [weights.weight_at(i) * m for i in oracle.indices]
+        return _total_values(f, oracle, parts, base, slab_min, refs, level)
 
     theta0 = 0.0 if f.coercive else eps / 4.0
     weights = PerturbationWeights(head=(), tail=theta0)
-    k, lowest = _total_values(M, f, weights, oracle, base, vals)
+    k, lowest, _, _ = round_totals(weights, (k_f,), 0.0)
     x_cur = oracle.sequence_at(k)
 
     converged = False
@@ -398,11 +454,11 @@ def perturb_minimize(
         eps_n = eps * 2.0 ** (-n - 2)
         K_eff = max(f.domain_radius, luxemburg_norm(M, x_cur))
         a_n, delta_n = construct_local_perturbation(M, x_cur, K_eff, eps_n)
-        weights = weights + a_n  # sup_norm >= eps_n > 0: the totals are in vals
-        k, lowest = _total_values(M, f, weights, oracle, base, vals)
+        weights = weights + a_n
+        k, lowest, flat, vals = round_totals(weights, (k, k_f), delta_n)
         x_next = oracle.sequence_at(k)
         moved = luxemburg_norm(M, x_next - x_cur)
-        proxy = _tail_proxy(M, oracle, vals, lowest, delta_n, len(weights.head))
+        proxy = _tail_proxy(M, oracle, flat, vals, lowest, delta_n, len(weights.head))
         iterations = n
         x_cur = x_next
         if moved < move_tol and proxy < tail_tol:
@@ -455,9 +511,9 @@ def support_from_below(
     # sigma is separable for every M, so f1 has a grid evaluator when f has a
     # dense one.  It holds f's values, only read (a user eval_grid may keep
     # them), a mask, and one array: sigma(x/r) until the mask is taken, then
-    # eps_hi * sigma, then f1's values, subtracted inside the ball only (f
-    # and sigma may both be inf outside).  Otherwise the engine sweeps
-    # shifted row by row, which calls f inside the domain ball only.
+    # eps_hi * sigma, then f1's values, +inf outside the ball (where f and
+    # sigma may both be inf).  Otherwise the engine sweeps shifted row by
+    # row, which calls f inside the domain ball only.
     def shifted_grid(oracle: GridOracle) -> np.ndarray:
         base = _grid_values(f, oracle)
         with np.errstate(over="ignore"):  # M(|axis|) = inf past the float range is right
@@ -466,7 +522,8 @@ def support_from_below(
         outside = out > 1.0
         oracle.outer_sum(lambda axis, i: m_axis, out)
         out *= eps_hi
-        np.subtract(base, out, out=out, where=~outside)
+        with np.errstate(invalid="ignore"):  # inf - inf happens outside the ball only
+            np.subtract(base, out, out=out)
         out[outside] = math.inf
         return out
 

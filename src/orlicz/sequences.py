@@ -64,7 +64,10 @@ class SparseSequence:
         return self.entries[-1][0] if self.entries else 0
 
     def value_at(self, index: int) -> float:
-        return dict(self.entries).get(index, 0.0)
+        for idx, val in self.entries:  # indices increase: stop at the first one >= index
+            if idx >= index:
+                return val if idx == index else 0.0
+        return 0.0
 
     def indices(self) -> tuple[int, ...]:
         return tuple(idx for idx, _ in self.entries)

@@ -239,11 +239,17 @@ def scale_to_modular(
     """Scale x so its modular hits target: x/rho with sigma(x/rho) = target.
 
     rho is solved by the norm kernel with target in place of 1, so tol is
-    the same relative step as in luxemburg_norm.
+    the same relative step as in luxemburg_norm.  A target whose rho or 1/rho
+    leaves the float range, or whose x/rho underflows to 0, is refused.
     """
     if target <= 0.0:
         raise DomainError(f"target modular must be > 0, got {target}")
     if not x.entries:
         raise DomainError("cannot scale the zero sequence to a positive modular")
     absvals = np.abs(np.array(x.values(), dtype=float))[None, :]
-    return x.scale(1.0 / float(_norm_block(M, absvals, absvals.max(axis=1), tol, target)[0]))
+    with np.errstate(over="ignore", divide="ignore"):  # out of range: refused below
+        factor = float(1.0 / _norm_block(M, absvals, absvals.max(axis=1), tol, target)[0])
+    y = x.scale(factor) if 0.0 < factor < math.inf else SparseSequence()
+    if not y:
+        raise DomainError(f"no multiple of x in the float range has modular {target!r}")
+    return y

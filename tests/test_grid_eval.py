@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orlicz import (
@@ -135,6 +135,9 @@ def _solve(M, f, eps, oracle, mode):
     z=_Z,
     mode=st.sampled_from(["minimize", "support"]),
 )
+# z is symmetric in coordinates 2 and 3, and the two f evaluators differ in
+# the last bits: the grid path picks 3:0.5 and the streamed path 2:0.5.
+@example(family="power:2", name="sqdist", dims=3, step=0.5, eps=0.5, z=[0.0, 0.1875, 0.1875], mode="support")
 def test_grid_evaluator_matches_streamed_path(family, name, dims, step, eps, z, mode):
     M, f = _objective(family, name, dims, z)
     assert f.eval_grid is not None
@@ -150,8 +153,12 @@ def test_grid_evaluator_matches_streamed_path(family, name, dims, step, eps, z, 
     assert _solve(M, scalar, eps, oracle, mode) == ref
     if mode == "support":
         rep, ref = rep.inner, ref.inner
-    assert rep.weights == ref.weights
-    assert rep.iterations == ref.iterations
+    # Points whose totals tie up to rounding may be ordered either way by the
+    # two evaluators; then the weights built around each differ, and the tie
+    # is checked below: each min_value within bound of the other's.
+    if rep.minimizer == ref.minimizer:
+        assert rep.weights == ref.weights
+        assert rep.iterations == ref.iterations
     assert rep.converged == ref.converged
 
     # The terms the total at the minimizer sums, by the row path.

@@ -146,12 +146,13 @@ def test_sweep_matches_materialized_reference(family, name, dims, step, eps, z, 
     assert abs(at_min - ref_min) <= 1e-12 * (1.0 + abs(ref_min))
 
 
-def test_weighted_modular_matches_dense_g_in_flat_order():
+def test_g_terms_summed_at_points_match_dense_g_in_flat_order():
     M = parse_family("power:1.5")
     oracle = GridOracle((2, 5, 7), step=0.25, radius=1.0)
     a = PerturbationWeights(head=(0.3, 0.1, 0.7, 0.2, 0.05, 0.9), tail=0.4)
     want = g_eval_dense(M, a, oracle.grid(), oracle.indices)
-    np.testing.assert_allclose(oracle.weighted_modular(M, a), want, rtol=1e-14)
+    parts = [a.weight_at(i) * M.eval(np.abs(oracle.axis)) for i in oracle.indices]
+    np.testing.assert_allclose(oracle.sum_at(parts, np.arange(oracle.points)), want, rtol=1e-14)
     for k in (0, 17, oracle.points - 1):
         assert oracle.sequence_at(k) == SparseSequence.from_pairs(
             (i, v) for i, v in zip(oracle.indices, oracle.grid()[k]) if v != 0.0

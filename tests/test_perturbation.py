@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicz import (
     BallSampler,
@@ -195,6 +197,27 @@ def test_construct_validation():
         construct_local_perturbation(M1, SparseSequence.from_pairs([(1, 5.0)]), 1.0, 0.1)
     with pytest.raises(Delta2RequiredError):
         construct_local_perturbation(make_non_delta2(), SparseSequence(), 1.0, 0.1)
+
+
+def _reference_head_length(M, x, eps, delta):
+    """The head-length scan that construct_local_perturbation replaced: one tail modular per step."""
+    N = 0
+    while eps * modular(M, project_tail(x, N)) >= delta / 2.0:
+        N += 1
+    return N
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    pairs=st.dictionaries(st.integers(1, 40), st.floats(1e-6, 1.0) | st.floats(-1.0, -1e-6), max_size=25),
+    eps=st.floats(1e-4, 1.0),
+)
+def test_head_length_equals_the_tail_modular_scan(p, pairs, eps):
+    M = make_power(p)
+    x = SparseSequence.from_pairs(pairs.items())
+    a, delta = construct_local_perturbation(M, x, max(1.0, luxemburg_norm(M, x)), eps)
+    assert len(a.head) == _reference_head_length(M, x, eps, delta)
 
 
 # ----------------------------------------------------------------- oracle

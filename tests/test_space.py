@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from orlicz import (
     project_tail,
     scale_to_modular,
 )
+from orlicz.sequences import parse_sequence
 
 M1 = make_power(1)
 M2 = make_power(2)
@@ -208,3 +211,23 @@ def test_scale_to_modular_drops_an_entry_that_underflows():
     y = scale_to_modular(M2, SparseSequence.from_pairs([(1, 1e-200), (2, 1.0)]), target=1e-300)
     assert y.entries == ((2, 1e-150),)
     assert modular(M2, y) == pytest.approx(1e-300, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, x, target", [
+    (1.0, "1:1e10", 1e-300),  # rho = 1e310 overflows; the parent returned the zero sequence
+    (2.0, "1:1e-300", 1e300),  # rho = 1e-450 underflows to 0
+    (1.0, "1:1e-300", 1e300),  # rho = 1e-600
+])
+def test_scale_to_modular_refuses_a_scale_past_the_float_range(p, x, target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(repr(target))):
+            scale_to_modular(make_power(p), parse_sequence(x), target)
+
+
+def test_scale_to_modular_solves_just_inside_the_float_range():
+    # rho = 1e300 and 1/rho = 1e-300 are floats: x/rho = 1e-290 hits the target.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = scale_to_modular(M1, parse_sequence("1:1e10"), 1e-290)
+    assert modular(M1, y) == pytest.approx(1e-290, rel=1e-12)

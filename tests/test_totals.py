@@ -1,11 +1,11 @@
-"""Tests of the solve's totals: one buffer per solve, checked by one argmin.
+"""Tests of the solve's totals: summed only where the minimizer can be.
 
-Each round writes f + g_a into one buffer and checks it with a single
-np.argmin, and a round whose weights are all zero takes f's values as its
-totals.  The reference kept here is the round those replaced: a fresh
-weighted modular, then `+ base`, then NaN, finiteness and lower-bound scans,
-np.argmin, and np.min for the reported value.  Reports must equal it bit for
-bit.
+Each round sums f + g_a only at the points that a reference total, f's
+values and a per-slab bound leave, and checks them with a single np.argmin;
+a round whose weights are all zero takes f's values as its totals.  The
+reference kept here is the whole-grid round: a fresh weighted modular, then
+`+ base`, then NaN, finiteness and lower-bound scans, np.argmin, and np.min
+for the reported value.  Reports must equal it bit for bit.
 """
 
 import dataclasses
@@ -116,6 +116,27 @@ def reference_support_inner(M, f, delta_lo, eps_hi, oracle):
     return reference_minimize(M, f1, shifted, eps_hi - delta_lo, oracle)
 
 
+def _objective(M, name, z):
+    """A built-in objective by name, or f = 1/2 ("constant"), or the squared
+    distance to z less 0.1, floored at 0 ("plateau"), each with all three
+    evaluators."""
+    text = "sqdist:" + ",".join(f"{i}:{v!r}" for i, v in enumerate(z, 1))
+    if name == "constant":
+        return Objective(eval=lambda x: 0.5, domain_radius=1.0, lower_bound=0.5,
+                         eval_dense=lambda rows, indices: np.full(len(rows), 0.5),
+                         eval_grid=lambda o: np.full(o.points, 0.5))
+    if name == "plateau":
+        f = parse_objective(M, text)
+        return dataclasses.replace(
+            f,
+            eval=lambda x: max(f.eval(x) - 0.1, 0.0),
+            eval_dense=lambda rows, indices: np.maximum(f.eval_dense(rows, indices) - 0.1, 0.0),
+            eval_grid=lambda o: np.maximum(f.eval_grid(o) - 0.1, 0.0),
+            lower_bound=0.0,
+        )
+    return parse_objective(M, text if name == "sqdist" else name)
+
+
 def _same(rep, ref):
     # json keeps the sign of a zero and every bit of a float's repr.
     assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(ref.to_dict(), sort_keys=True)
@@ -128,7 +149,7 @@ def _same(rep, ref):
 @settings(max_examples=150, deadline=None)
 @given(
     family=st.sampled_from(["power:1.5", "power:2", "power:3"]),
-    name=st.sampled_from(["modular", "sqdist", "ball-quad", "bump-inv"]),
+    name=st.sampled_from(["modular", "sqdist", "ball-quad", "bump-inv", "constant", "plateau"]),
     dims=st.integers(1, 3),
     step=st.sampled_from([0.5, 0.25, 0.1]),
     eps=st.floats(0.01, 1.0),
@@ -142,8 +163,7 @@ def test_reports_equal_the_fresh_array_rounds(family, name, dims, step, eps, z, 
     M = parse_family(family)
     z = [round(v, 3) for v in z[:dims]]
     z[0] = math.copysign(max(abs(z[0]), 0.05), z[0])
-    text = "sqdist:" + ",".join(f"{i}:{v!r}" for i, v in enumerate(z, 1)) if name == "sqdist" else name
-    f = dataclasses.replace(parse_objective(M, text), coercive=coercive)
+    f = dataclasses.replace(_objective(M, name, z), coercive=coercive)
     oracle = GridOracle(tuple(range(1, dims + 1)), step=step, radius=1.0)
     if cut is not None:  # +inf where the l1 norm of the point passes cut
         grid_fn = f.eval_grid
@@ -159,6 +179,16 @@ def test_reports_equal_the_fresh_array_rounds(family, name, dims, step, eps, z, 
         rep = support_from_below(M, f, eps, 2.0 * eps, oracle).inner
         ref = reference_support_inner(M, f, eps, 2.0 * eps, oracle)
     _same(rep, ref)
+
+
+def test_the_tail_proxy_takes_the_first_10000_near_minimizers():
+    # f = 1/2 on a fine grid about 0: in round 1, 17,941 of the 68,921
+    # points lie within the round's level of the lowest total, and the
+    # proxy's cap keeps the first 10,000 of them in flat order.
+    M = make_power(2.0)
+    f = _objective(M, "constant", [])
+    oracle = GridOracle((1, 2, 3), step=8e-5, radius=1.6e-3)
+    _same(perturb_minimize(M, f, 0.1, oracle), reference_minimize(M, f, f.eval_grid(oracle), 0.1, oracle))
 
 
 def _one_point(fill, at, value):
@@ -177,24 +207,58 @@ def _origin(oracle):
     return oracle.points // 2
 
 
-# (grid values, error, message) that the totals check must refuse.
+def _far_corner(oracle):
+    """The flat index of the all-radius row: outside the unit ball, far from every minimizer."""
+    return oracle.points - 1
+
+
+# (grid values, error, message, whether support raises too) that the totals
+# check must refuse.  At the far corner no round sums f + g_a, and support's
+# domain mask covers the bad value.
 _BAD_GRIDS = [
-    (_one_point(1.0, _origin, math.nan), OrliczError, "NaN on the grid"),
-    (_one_point(math.inf, _origin, math.inf), NotProperError, r"\+inf on the whole grid"),
-    (_one_point(1.0, _origin, -1e6), OrliczError, "below its declared lower bound"),
+    (_one_point(1.0, _origin, math.nan), OrliczError, "NaN on the grid", True),
+    (_one_point(math.inf, _origin, math.inf), NotProperError, r"\+inf on the whole grid", True),
+    (_one_point(1.0, _origin, -1e6), OrliczError, "below its declared lower bound", True),
+    (_one_point(1.0, _far_corner, math.nan), OrliczError, "NaN on the grid", False),
 ]
 
 
-@pytest.mark.parametrize("grid, error, message", _BAD_GRIDS, ids=["nan", "all-inf", "dip"])
+@pytest.mark.parametrize("grid, error, message, support_raises", _BAD_GRIDS, ids=["nan", "all-inf", "dip", "far-nan"])
 @pytest.mark.parametrize("coercive", [True, False])
-def test_totals_checks_through_a_grid_evaluator(grid, error, message, coercive):
+def test_totals_checks_through_a_grid_evaluator(grid, error, message, support_raises, coercive):
     M = make_power(2.0)
     oracle = GridOracle((1, 2), step=0.25, radius=1.0)
     f = Objective(eval=lambda x: 1.0, domain_radius=1.0, lower_bound=0.0, eval_grid=grid, coercive=coercive)
     with pytest.raises(error, match=message):
         perturb_minimize(M, f, 0.1, oracle)
-    with pytest.raises(error, match=message):
-        support_from_below(M, f, 0.5, 1.0, oracle)
+    if support_raises:
+        with pytest.raises(error, match=message):
+            support_from_below(M, f, 0.5, 1.0, oracle)
+    else:
+        clean = dataclasses.replace(f, eval_grid=_one_point(1.0, _far_corner, 1.0))
+        assert support_from_below(M, f, 0.5, 1.0, oracle) == support_from_below(M, clean, 0.5, 1.0, oracle)
+
+
+_NAN = "NaN on the grid"
+_DIP = "below its declared lower bound"
+
+
+@pytest.mark.parametrize("at, message", [
+    ([(2, 0)], _NAN), ([(0, 2)], _NAN), ([(4, 4)], _NAN), ([(2, 2)], _DIP), ([(1, 2)], _DIP),
+    ([(1, 2), (4, 1)], _NAN),  # f's first argmin dips; the NaN total is in a slab no round sums
+], ids=str)
+def test_overflowing_g_against_minus_inf_f_raises_as_the_whole_grid_does(at, message):
+    # M(1000) = 1000^110 = +inf, so round 0's g_a = eps/4 * sigma is +inf on
+    # the grid's outer rows, and f = -inf at the points at: +inf + -inf is a
+    # NaN total on an outer row, and -inf (a dip) inside (M(500) is finite).
+    M = parse_family("power:110")
+    oracle = GridOracle((1, 2), step=500.0, radius=1000.0)
+    flat = np.ravel_multi_index(tuple(zip(*at)), (5, 5))
+    f = Objective(eval=lambda x: 1.0, domain_radius=1.0, lower_bound=0.0,
+                  eval_grid=_one_point(1.0, lambda o: flat, -math.inf))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OrliczError, match=message):
+            perturb_minimize(M, f, 0.1, oracle)
 
 
 @pytest.mark.parametrize("solve", ["minimize", "support"])
@@ -307,6 +371,7 @@ def test_outer_sum_into_a_buffer_equals_a_new_array(dims):
     a = PerturbationWeights(head=(0.3, 0.1), tail=0.7)
     want = fresh_outer_sum(oracle, lambda axis, i: a.weight_at(i) * M.eval(np.abs(axis)))
     buf = np.full(oracle.points, math.nan)
-    assert oracle.weighted_modular(M, a, buf) is buf
+    assert oracle.outer_sum(lambda axis, i: a.weight_at(i) * M.eval(np.abs(axis)), buf) is buf
     np.testing.assert_array_equal(buf, want)
-    np.testing.assert_array_equal(oracle.weighted_modular(M, a), want)
+    parts = [a.weight_at(i) * M.eval(np.abs(oracle.axis)) for i in oracle.indices]
+    np.testing.assert_array_equal(oracle.sum_at(parts, np.arange(oracle.points)), want)

@@ -8,8 +8,9 @@ directory.  The record holds:
 
 - acceptance criteria 07 (the sqdist solve) and 08 (the ball-quad support)
   on the 8.1M-point grid, criterion 07's solve with no grid evaluator (f
-  streamed through eval_dense), criterion 09's 1,000 containment checks, and
-  the sqdist solve with a scalar-only objective on the 68,921-point grid:
+  streamed through eval_dense), a constant objective solved on criterion
+  07's grid, criterion 09's 1,000 containment checks, and the sqdist solve
+  with a scalar-only objective on the 68,921-point grid:
   seconds of the timed call and `ru_maxrss` of the process, each run in a
   fresh process, REPEATS times per side with the side that runs first
   alternating, and the report (minimizer, iterations, `converged` and
@@ -48,6 +49,12 @@ directory.  The record holds:
   per call site (the chain of `orlicz` frames below `wpmc_diagnose`, as
   `module.function:line`), and `M.eval` and `deriv1` calls and elements,
   counted by wrapping the functions in process;
+- the grid points at which the rounds sum g_a + f, on each side: per
+  perfbench grid operation (averaged over GRID_OPS operations of seed
+  SEED0), per criterion 07 and 08 solve and per constant-objective solve,
+  with the rounds they take, counted by wrapping the summing method of
+  GridOracle in process (`weighted_modular`, which sums the whole grid, or
+  `sum_at`, which sums the given points);
 - Tier-1 on each side, in TIER1_PAIRS alternating base/change pairs of
   `pytest --durations=0` runs: the median and quartiles of the wall time,
   the pass and fail counts of each run, and the median duration of each
@@ -112,9 +119,10 @@ WELLPOSED_ARGS = (
     ("--family", "power:1.5", "--objective", "sqdist:1:0.3,2:-0.2"),
 )
 # Timed in-process calls per process of the CLI-default wellposed run, and
-# perfbench diagnose operations per side whose work is counted.
+# perfbench diagnose and grid operations per side whose work is counted.
 WELLPOSED_RUNS = 5
 DIAGNOSE_OPS = 20
+GRID_OPS = 20
 # Alternating base/change pairs of Tier-1 runs, and the pytest arguments of
 # one run.  Node ids that contain one of TIER1_KERNEL_TESTS, and the other
 # cases of a parametrized test with a "/bisect" case, get their durations
@@ -133,8 +141,10 @@ THREAD_VARS = (
 # One criterion run in a fresh process; prints one JSON line.  "dense" is
 # criterion 07's solve with eval_grid=None, so f goes through eval_dense in
 # streamed chunks; "09" is criterion 09's loop of 1,000 containment checks
-# with scalar-only objectives; "scalar" is criterion 07's solve with a
-# scalar-only copy of the objective on the 41^3 = 68,921-point grid.
+# with scalar-only objectives; "constant" solves f = 1, whose grid values
+# are one broadcast float, on criterion 07's grid; "scalar" is criterion
+# 07's solve with a scalar-only copy of the objective on the 41^3 =
+# 68,921-point grid.
 CRITERION = r"""
 import dataclasses, json, resource, sys, time
 import numpy as np
@@ -174,6 +184,11 @@ elif case == "dense":
 elif case == "08":
     rep = support_from_below(M, shifted_ball_objective(M, 1.0), 1.0, 2.0, GridOracle((1, 2, 3), step=0.01))
     report = solve_report(rep, rep.supported_value, rep.inner)
+elif case == "constant":
+    f = Objective(eval=lambda x: 1.0, domain_radius=1.0, lower_bound=1.0,
+                  eval_grid=lambda o: np.broadcast_to(1.0, (o.points,)))
+    rep = perturb_minimize(M, f, eps=0.1, oracle=GridOracle((1, 2, 3), step=0.01))
+    report = solve_report(rep, rep.min_value, rep)
 elif case == "09":
     rng = np.random.default_rng(909)
     sampler = GridSampler((1, 2), step=0.1, radius=1.0)
@@ -286,6 +301,70 @@ print(json.dumps({
 """
 
 
+# The grid points the rounds sum g_a + f at: argv[1] perfbench grid
+# operations (seed argv[2]), then criteria 07 and 08 and the constant
+# objective on the 8.1M-point grid, with GridOracle's summing method and
+# engine._total_values wrapped; prints points and rounds per operation or
+# solve.
+ROUND_POINTS = r"""
+import collections, json, sys
+sys.path[:0] = ["src", "perfbench"]
+import numpy as np
+from orlicz import engine
+from orlicz import GridOracle, Objective, SparseSequence, make_power, perturb_minimize, support_from_below
+from orlicz.objectives import shifted_ball_objective, squared_distance_objective
+import workloads
+
+ops, seed = int(sys.argv[1]), int(sys.argv[2])
+counts = collections.Counter()
+rounds = engine._total_values
+
+
+def counted_rounds(*args, **kwargs):
+    counts["rounds"] += 1
+    return rounds(*args, **kwargs)
+
+
+engine._total_values = counted_rounds
+if hasattr(GridOracle, "sum_at"):
+    sum_at = GridOracle.sum_at
+
+    def counted_sum_at(self, parts, flat):
+        counts["points"] += len(flat)
+        return sum_at(self, parts, flat)
+
+    GridOracle.sum_at = counted_sum_at
+else:
+    weighted_modular = GridOracle.weighted_modular
+
+    def counted_weighted_modular(self, M, a, out=None):
+        counts["points"] += self.points
+        return weighted_modular(self, M, a, out)
+
+    GridOracle.weighted_modular = counted_weighted_modular
+
+
+def taken(run, n=1):
+    counts.clear()
+    for r in range(n):
+        run(r)
+    return {k: counts[k] / n for k in ("points", "rounds")}
+
+
+M = make_power(2.0)
+z = SparseSequence.from_pairs([(1, 31 * 0.01), (2, 17 * 0.01), (3, 5 * 0.01)])
+constant = Objective(eval=lambda x: 1.0, domain_radius=1.0, lower_bound=1.0,
+                     eval_grid=lambda o: np.broadcast_to(1.0, (o.points,)))
+grid = workloads.Grid(seed)
+print(json.dumps({
+    "grid_op": taken(lambda r: grid.ops(r)[0].run(), ops),
+    "07": taken(lambda r: perturb_minimize(M, squared_distance_objective(M, z), 0.1, GridOracle((1, 2, 3), step=0.01))),
+    "08": taken(lambda r: support_from_below(M, shifted_ball_objective(M, 1.0), 1.0, 2.0, GridOracle((1, 2, 3), step=0.01))),
+    "constant": taken(lambda r: perturb_minimize(M, constant, 0.1, GridOracle((1, 2, 3), step=0.01))),
+}))
+"""
+
+
 # The norm kernel without M' on random rows of widths 8 and 40; prints one
 # JSON line.  A solve of 2,000 rows is two blocks, of 1,024 and 976 rows.
 DERIVATIVE_FREE = r"""
@@ -364,7 +443,7 @@ def _in_turn(sides: dict[str, Path], k: int) -> list[tuple[str, Path]]:
 
 def _criteria(sides: dict[str, Path]) -> dict:
     out = {}
-    for name in ("07", "dense", "08", "09", "scalar"):
+    for name in ("07", "dense", "08", "constant", "09", "scalar"):
         runs = {side: [] for side in sides}
         for k in range(REPEATS):
             for side, tree in _in_turn(sides, k):
@@ -550,6 +629,14 @@ def _diagnose_counts(sides: dict[str, Path]) -> dict:
     return out
 
 
+def _round_points(sides: dict[str, Path]) -> dict:
+    out = {"grid_ops": GRID_OPS, "seed": SEED0}
+    for side, tree in sides.items():
+        out[side] = _last_json([sys.executable, "-c", ROUND_POINTS, str(GRID_OPS), str(SEED0)], tree, _env())
+        print(f"round points {side}: {out[side]['grid_op']['points']:.0f} per grid op", file=sys.stderr)
+    return out
+
+
 def _perfbench(sides: dict[str, Path], seconds: float) -> dict:
     out = {}
     for workload in WORKLOADS:
@@ -617,6 +704,7 @@ def main() -> int:
             "wellposed": _wellposed(sides),
             "wellposed_in_process": _wellposed_timing(sides),
             "diagnose_counts": _diagnose_counts(sides),
+            "round_points": _round_points(sides),
             "tier1": _tier1(sides),
             "derivative_free_kernel": _derivative_free(sides),
             "perfbench": {
