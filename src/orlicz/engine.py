@@ -110,9 +110,9 @@ class GridOracle:
     flattened in C order (meshgrid "ij"), so flat index k maps to a row
     through np.unravel_index.  Exact on its own grid, so it meets any
     accuracy request.  outer_sum() builds a separable sum such as f or
-    sigma from one vector per axis over the whole grid, sum_at() the same
-    sum, such as g_a, at given flat indices only, and evaluate() streams the
-    grid in flat-index chunks through a row evaluator; none holds the whole
+    sigma from one vector per axis, sum_at() its values at given points,
+    and evaluate() streams the grid in flat-index chunks through a row
+    evaluator; none holds the whole
     (points, d) array, which grid() builds only on request.
     """
 
@@ -182,11 +182,7 @@ class GridOracle:
         return out
 
     def sum_at(self, parts: list[np.ndarray], flat: np.ndarray) -> np.ndarray:
-        """sum_j parts[j][k_j] at the given flat indices, added left to right.
-
-        parts holds one vector of length 2n+1 per axis, as outer_sum's term
-        gives them; the sums are outer_sum's at the same points, bit for bit.
-        """
+        """outer_sum's sums of one vector per axis at the flat indices only, bit for bit."""
         ks = np.unravel_index(flat, self._shape)
         out = parts[0][ks[0]]
         for part, k in zip(parts[1:], ks[1:]):
@@ -302,10 +298,8 @@ def construct_local_perturbation(
 
     theta = min(eps / 2.0, delta / (4.0 * nu_bound(M, K)))
     tail_budget = delta / 2.0
-    # N is the least head length whose tail modular times eps is below the
-    # budget.  The tail beyond N is terms[j:] for N in [indices[j-1],
-    # indices[j]), so N is 0 or one of x's indices; the scan ends at j =
-    # len(terms) at the latest, where the tail modular is 0.
+    # The tail beyond N is terms[j:] for indices[j-1] <= N < indices[j], so
+    # N is 0 or an index of x; terms[len:] sums to 0, which ends the scan.
     indices = x.indices()
     with np.errstate(over="ignore"):  # as in modular: a term past the float range is inf
         terms = np.asarray(M.eval(np.abs(np.array(x.values(), dtype=float))), dtype=float)
@@ -324,23 +318,17 @@ def _total_values(
     refs: tuple[int, ...],
     level: float,
 ) -> tuple[int, float, np.ndarray, np.ndarray]:
-    """The flat argmin k of f + g_a over the grid and the lowest total, with
-    the flat indices, in flat order, and the totals of a set of points that
-    holds every point whose total is at most lowest + level.
+    """The flat argmin of f + g_a, the lowest total, and the flat indices (in
+    flat order) and totals of points that hold every total <= lowest + level.
 
-    parts are g_a's per-axis terms a_i M(|axis|) and base is f's values.
-    g_a >= 0 and rounding is monotone, so no total is below f's value at its
-    point, and none in leading-axis slab s is below the slab's bound
-    ((parts[0][s] + min parts[1]) + ...) + slab_min[s], f's minimum over
-    the slab.  The reference, the smallest total at refs and at the point
-    of the lowest-bound slab where every other axis term is smallest, is at
-    least the lowest total.  So g_a is summed as outer_sum sums it, then
-    + f, only from the first to the last slab whose bound is at most the
-    reference + level, and there only where f is at most it too; the argmin
-    (the first flat index on ties) and every total are the whole grid's,
-    bit for bit, and so are the checks (base holds no NaN): a NaN total
-    anywhere, +inf everywhere and a total below f's lower bound (-inf
-    included) each raise.
+    parts are g_a's per-axis terms, base f's values (no NaN).  As g_a >= 0
+    and rounding is monotone, no total is below f at its point, nor, in
+    leading-axis slab s, below the bound ((parts[0][s] + min parts[1]) + ...)
+    + slab_min[s].  The least total at refs and at the lowest-bound point is
+    >= lowest, so g_a + f is summed only from the first to the last slab
+    whose bound is <= it + level, where f is <= it + level too: the argmin
+    (first flat index on ties), the totals and the checks (a NaN total, +inf
+    everywhere, a total below f's lower bound) are the whole grid's.
     """
 
     def totals(flat: np.ndarray) -> np.ndarray:
@@ -384,7 +372,7 @@ def _tail_proxy(
     head_len: int,
     cap: int = 10000,
 ) -> float:
-    """Max tail norm over sampled near-minimizers: the points flat, whose totals are vals, within level of lowest."""
+    """Max tail norm over sampled near-minimizers among flat, whose totals are vals."""
     tail_cols = [j for j, idx in enumerate(oracle.indices) if idx > head_len]
     if not tail_cols:
         return 0.0
@@ -419,10 +407,8 @@ def perturb_minimize(
         raise DomainError(f"budget must be >= 1, got {budget}")
     f.assert_proper()
     _require_constant(M)  # every round needs it: fail before the sweep
-    # f does not change between rounds; its minimum per leading-axis slab,
-    # its first argmin (the first NaN if any: a slab minimum is NaN where its
-    # slab holds one) and M on the axis are taken once, and each round sums
-    # g_a + f only where its minimizer can be.
+    # f is fixed: its slab minima, first argmin (a NaN slab minimum marks a
+    # NaN) and M(|axis|) are taken once per solve.
     base = _grid_values(f, oracle)
     slabs = base.reshape(len(oracle.axis), -1)
     slab_min = slabs.min(axis=1)
@@ -434,9 +420,7 @@ def perturb_minimize(
         m_axis = np.asarray(M.eval(np.abs(oracle.axis)), dtype=float)
 
     def round_totals(weights: PerturbationWeights, refs: tuple[int, ...], level: float):
-        # All-zero weights take M as -0.0, so every term is -0.0, the additive
-        # identity, and the totals are f's values bit for bit; 0 * M(|axis|)
-        # is NaN where M is inf.
+        # No weights: terms -0.0, so totals are f bit for bit (0 * inf is NaN).
         m = m_axis if weights.sup_norm > 0.0 else np.full_like(m_axis, -0.0)
         parts = [weights.weight_at(i) * m for i in oracle.indices]
         return _total_values(f, oracle, parts, base, slab_min, refs, level)

@@ -3,8 +3,9 @@
 A grid evaluator builds f over a GridOracle from one vector per axis; the
 reference is the same objective with `eval_grid=None`, which the engine
 evaluates through the streamed row path.  Both must pick the same weights
-and stop in the same round, and their values may differ only by rounding
-of the summed terms.
+and stop in the same round unless rounding orders two tied points
+differently, and their values may differ only by rounding of the summed
+terms.
 """
 
 import dataclasses
