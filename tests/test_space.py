@@ -214,7 +214,7 @@ def test_scale_to_modular_drops_an_entry_that_underflows():
 
 
 @pytest.mark.parametrize("p, x, target", [
-    (1.0, "1:1e10", 1e-300),  # rho = 1e310 overflows; the parent returned the zero sequence
+    (1.0, "1:1e10", 1e-300),  # rho = 1e310 overflows, and 1/rho = 0 scales x to the zero sequence
     (2.0, "1:1e-300", 1e300),  # rho = 1e-450 underflows to 0
     (1.0, "1:1e-300", 1e300),  # rho = 1e-600
 ])
