@@ -170,15 +170,17 @@ class GridOracle:
         left to right.  numpy's row sum adds up to 7 columns in that order,
         so a sum of the same terms matches it bit for bit below 8
         coordinates; at 8 the row sum goes pairwise and the two may differ
-        in the last bits.  The last outer add (on a 1-D grid, a copy) goes
-        into out, one contiguous value per grid point, or a new array.
+        in the last bits.  The sums go into out, one contiguous value per
+        grid point, or a new array: each row of the last axis gets that
+        axis's vector, then the outer sum of the other axes as a column
+        (x + y = y + x in IEEE arithmetic, so these are the same sums).
         """
         parts = [np.asarray(term(self.axis, i), dtype=float) for i in self.indices]
         out = np.empty(self.points) if out is None else out
-        if len(parts) == 1:
-            out[:] = parts[0]
-        else:
-            np.add.outer(functools.reduce(np.add.outer, parts[:-1]), parts[-1], out=out.reshape(self._shape))
+        rows = out.reshape(-1, len(self.axis))
+        rows[:] = parts[-1]
+        if len(parts) > 1:
+            rows += functools.reduce(np.add.outer, parts[:-1]).reshape(-1, 1)
         return out
 
     def sum_at(self, parts: list[np.ndarray], flat: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -31,7 +32,7 @@ class SparseSequence:
                 raise DomainError(f"indices must be integers >= 1, got {idx!r}")
             if idx <= prev:
                 raise DomainError(f"indices must be strictly increasing, got {idx} after {prev}")
-            if val == 0.0 or not np.isfinite(val):
+            if val == 0.0 or not math.isfinite(val):
                 raise DomainError(f"values must be nonzero and finite, got {val!r} at index {idx}")
             prev = idx
 

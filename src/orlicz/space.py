@@ -56,7 +56,7 @@ def luxemburg_norm(
     if not x.entries:
         return 0.0
     absvals = np.abs(np.array(x.values(), dtype=float))[None, :]
-    return float(_norm_block(M, absvals, absvals.max(axis=1), tol)[0])
+    return float(_norm_rows(M, [absvals], absvals.max(axis=1), tol)[0])
 
 
 def modular_dense(M: OrliczFunction, rows: np.ndarray) -> np.ndarray:
@@ -83,39 +83,133 @@ def luxemburg_norm_dense(
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows[None, :]
-    out = np.zeros(len(rows), dtype=float)
-    for s in range(0, len(rows), _BLOCK_ROWS):
-        a = np.abs(rows[s : s + _BLOCK_ROWS])
-        vmax = a.max(axis=1, initial=0.0)
-        nz = vmax > 0.0
-        if nz.all():
-            out[s : s + len(a)] = _norm_block(M, a, vmax, tol)
-        elif nz.any():
-            out[s : s + len(a)][nz] = _norm_block(M, a[nz], vmax[nz], tol)
+    return _norms(M, [rows], tol)[0]
+
+
+def _norms(M: OrliczFunction, blocks: list, tol: float = _FULL_PRECISION) -> list:
+    """Per block of rows, of any widths, each row's Luxemburg norm.
+
+    The nonzero rows go to _norm_rows in batches of at most 1024, cut from
+    the blocks in order, which bounds the temporaries.  A row's norm depends
+    on its entries and its block's width only, not on the rest of the batch.
+    """
+    out = [np.zeros(len(b)) for b in blocks]
+    for batch in _batches([len(b) for b in blocks]):
+        places, rows, vmax = [], [], []
+        for k, s, e in batch:
+            a = np.abs(blocks[k][s:e])
+            m = a.max(axis=1, initial=0.0)
+            nz = m > 0.0
+            count = np.count_nonzero(nz)
+            if count == len(nz):
+                places.append((k, slice(s, e)))
+            elif count:
+                places.append((k, s + np.flatnonzero(nz)))
+                a, m = a[nz], m[nz]
+            else:
+                continue
+            rows.append(a)
+            vmax.append(m)
+        if rows:
+            rho = _norm_rows(M, rows, np.concatenate(vmax) if len(vmax) > 1 else vmax[0], tol)
+            for (k, where), r in zip(places, _split(rho, rows)):
+                out[k][where] = r
     return out
 
 
-def _sigma(M: OrliczFunction, t: np.ndarray) -> np.ndarray:
-    return np.asarray(M.eval(t), dtype=float).sum(axis=1)
+def _batches(lengths: list) -> list:
+    """Lists of pieces (block, start, stop) of at most _BLOCK_ROWS rows in
+    all, which cover the blocks of these lengths in order."""
+    batches, room = [[]], _BLOCK_ROWS
+    for k, n in enumerate(lengths):
+        s = 0
+        while s < n:
+            if not room:
+                batches.append([])
+                room = _BLOCK_ROWS
+            e = min(n, s + room)
+            batches[-1].append((k, s, e))
+            room -= e - s
+            s = e
+    return batches
 
 
-def _norm_block(
-    M: OrliczFunction, a: np.ndarray, vmax: np.ndarray, tol: float, level: float = 1.0
+def _split(values: np.ndarray, blocks: list) -> list:
+    """A vector of one value per row of the blocks, cut into one per block."""
+    if len(blocks) == 1:
+        return [values]
+    return np.split(values, np.cumsum([len(a) for a in blocks[:-1]]))
+
+
+def _pack(blocks: list) -> tuple:
+    """(entries, row, layout) for a Newton pass: what it divides by rho, the
+    index into rho of each entry's row (or an index that broadcasts), and
+    where _sums finds each row's terms (None: the terms are the rows).
+
+    A lone block without zeros is passed as it is.  Otherwise the entries
+    are one 0, then each block's nonzero entries row by row, and the 0's
+    term stands in for every zero: the sums add the same terms in the same
+    order as over the whole rows.  (0/rho = 0 for every rho the loop keeps;
+    a start rho that underflows to 0 fails a slope or bracketing test with
+    any term for the zeros.)
+    """
+    if len(blocks) == 1 and np.count_nonzero(blocks[0]) == blocks[0].size:
+        return blocks[0], (slice(None), None), None
+    entries, places, layout = [np.zeros(1)], [], []
+    at = 1
+    for a in blocks:
+        p = (a > 0.0).ravel().nonzero()[0]
+        index = np.zeros(a.size, dtype=np.intp)
+        index[p] = np.arange(at, at + p.size)
+        layout.append(index.reshape(a.shape))
+        entries.append(a.ravel()[p])
+        places.append(p)
+        at += p.size
+    if len(blocks) == 1 and len(blocks[0]) == 1:
+        return np.concatenate(entries), slice(None), layout
+    rows, first = [np.zeros(1, dtype=np.intp)], 0
+    for a, p in zip(blocks, places):
+        rows.append(first + p // a.shape[1])
+        first += len(a)
+    return np.concatenate(entries), np.concatenate(rows), layout
+
+
+def _sums(terms, layout) -> np.ndarray:
+    """Each row's sum of its terms, laid out by _pack, at its block's width."""
+    terms = np.asarray(terms, dtype=float)
+    if layout is None:
+        return terms.sum(axis=1)
+    if len(layout) == 1:
+        return terms[layout[0]].sum(axis=1)
+    return np.concatenate([terms[index].sum(axis=1) for index in layout])
+
+
+def _norm_rows(
+    M: OrliczFunction, blocks: list, vmax: np.ndarray, tol: float, level: float = 1.0
 ) -> np.ndarray:
-    """Per row of a block a >= 0 with row maxima vmax > 0, rho with sigma(a/rho) = level."""
+    """Per row of blocks a >= 0 of any widths, with row maxima vmax > 0
+    (concatenated over the blocks), rho with sigma(a/rho) = level.
+
+    Power families take the closed form.  Otherwise one Newton loop solves
+    every row: each pass is one M.eval and one M' or one more M.eval, over
+    the nonzero entries of every live row.
+    """
     if M.power is not None:
         # (s sum a^p / level)^(1/p), scaled by the row max so that neither
-        # a^p underflows nor overflows.
+        # a^p underflows nor overflows; for p = 1, rho is the modular itself.
         p = M.power[0]
-        if p == 1.0:  # rho is the modular itself
-            return modular_dense(M, a) / level
-        return vmax * (_sigma(M, a / vmax[:, None]) / level) ** (1.0 / p)
+        rho = [modular_dense(M, a) / level if p == 1.0 else
+               m * (np.asarray(M.eval(a / m[:, None]), dtype=float).sum(axis=1) / level) ** (1.0 / p)
+               for a, m in zip(blocks, _split(vmax, blocks))]
+        return rho[0] if len(rho) == 1 else np.concatenate(rho)
     small = vmax < np.finfo(float).tiny
-    if small.any():
+    if np.count_nonzero(small):
         # For a subnormal row max, vmax/t_bar may underflow to 0: solve those
         # rows scaled by 2^64, which is exact, and scale their rho back.
         scale = np.where(small, 2.0 ** 64, 1.0)
-        return _norm_block(M, a * scale[:, None], vmax * scale, tol, level) / scale
+        scaled = [a * s[:, None] for a, s in zip(blocks, _split(scale, blocks))]
+        return _norm_rows(M, scaled, vmax * scale, tol, level) / scale
+    entries, row, layout = _pack(blocks)
     # sigma(a/rho) > level at rho = vmax/(t_bar max(level, 1)): the largest
     # term alone is M(max(level, 1) t_bar) >= max(level, 1) M(t_bar) by
     # convexity.
@@ -124,7 +218,7 @@ def _norm_block(
         # Start within a factor 2 of the root: without it a steep M, such as
         # expm1(354 t), creeps from the guard by tiny steps.
         for _ in range(_NORM_MAX_ITER):
-            up = _sigma(M, a / (2.0 * rho)[:, None]) > level
+            up = _sums(M.eval(entries / (2.0 * rho)[row]), layout) > level
             if not up.any():
                 break
             rho[up] *= 2.0
@@ -145,27 +239,31 @@ def _norm_block(
     out = np.empty_like(rho)
     live = np.arange(len(rho))
     for _ in range(_NORM_MAX_ITER):
-        t = a / rho[:, None]
-        sigma = _sigma(M, t)
+        t = entries / rho[row]
+        sigma = _sums(M.eval(t), layout)
         if M.deriv1 is None:
-            phi, slope = (sigma - level) * _FD_STEP, _sigma(M, (1.0 + _FD_STEP) * t) - sigma
+            phi, slope = (sigma - level) * _FD_STEP, _sums(M.eval((1.0 + _FD_STEP) * t), layout) - sigma
         else:
-            phi, slope = sigma - level, (np.asarray(M.deriv1(t), dtype=float) * t).sum(axis=1)
+            phi, slope = sigma - level, _sums(np.asarray(M.deriv1(t), dtype=float) * t, layout)
         if not 0.0 < slope.min() <= slope.max() < np.inf:
             raise OrliczError("the slope of sigma(x/rho) left (0, inf); check M")
         q = phi / slope
-        rho = np.divide(rho, 1.0 - q, out=rho * (1.0 + q), where=(q > 0.0) & (q < 1.0))
+        rest = 1.0 - q  # q (1 - q) > 0 just where 0 < q < 1
+        rho = np.divide(rho, rest, out=rho * (1.0 + q), where=q * rest > 0.0)
         if not 0.0 < rho.min() <= rho.max() < np.inf:
             raise OrliczError("Newton step for the norm left (0, inf); check M")
         # The step is q of the new rho, so this stops once it is within tol.
         done = q <= tol
-        if done.all():
+        finished = np.count_nonzero(done)
+        if finished == len(done):
             out[live] = rho
             return out
-        if done.any():
+        if finished:
             out[live[done]] = rho[done]
             keep = ~done
-            a, rho, live = a[keep], rho[keep], live[keep]
+            blocks = [a for a in (b[k] for b, k in zip(blocks, _split(keep, blocks))) if len(a)]
+            rho, live = rho[keep], live[keep]
+            entries, row, layout = _pack(blocks)
     raise OrliczError("Newton iteration for the norm did not converge")
 
 
@@ -248,7 +346,7 @@ def scale_to_modular(
         raise DomainError("cannot scale the zero sequence to a positive modular")
     absvals = np.abs(np.array(x.values(), dtype=float))[None, :]
     with np.errstate(over="ignore", divide="ignore"):  # out of range: refused below
-        factor = float(1.0 / _norm_block(M, absvals, absvals.max(axis=1), tol, target)[0])
+        factor = float(1.0 / _norm_rows(M, [absvals], absvals.max(axis=1), tol, target)[0])
     y = x.scale(factor) if 0.0 < factor < math.inf else SparseSequence()
     if not y:
         raise DomainError(f"no multiple of x in the float range has modular {target!r}")

@@ -19,7 +19,7 @@ from .errors import DomainError, NotProperError, OrliczError
 from .functions import OrliczFunction
 from .sampling import dense_to_sequences
 from .sequences import SparseSequence, to_jsonable
-from .space import luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
+from .space import _norms, luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
 
 __all__ = [
     "SublevelSample",
@@ -175,23 +175,44 @@ def _diam_estimate(rows: np.ndarray, M: OrliczFunction, cap: int = 200) -> float
 
 
 def _lockstep(M: OrliczFunction, tasks: list) -> list:
-    """Each task's return value.  A task is a generator that yields blocks of
-    rows and is sent their norms.  A round solves the pending blocks in one
-    call per width: a row's norm depends on its width, not on the other rows."""
+    """Each task's return value.  A task is a generator that yields requests
+    and is sent their answers: a block of rows, for the rows' norms, or a
+    sigma test (rows, ii, jj, rho), for _pair_modular of it.  A round
+    answers every pending block in one norm kernel call, the blocks of one
+    width stacked, and the sigma tests in one _pair_modular per width: a
+    row's norm and a pair's sigma depend on their width, not on the other
+    rows.  So sigma tests of one width must index the same rows, as they do
+    when every task's rows are a _trim view of one block.
+    """
     out, sent = [None] * len(tasks), dict.fromkeys(range(len(tasks)))
     while sent:
-        asked = {}
-        for k, norms in sent.items():
+        blocks, tests = {}, {}
+        for k, answer in sent.items():
             try:
-                asked[k] = tasks[k].send(norms)
+                request = tasks[k].send(answer)
             except StopIteration as stop:
                 out[k] = stop.value
+                continue
+            if isinstance(request, tuple):
+                rows, *pairs = request
+                tests.setdefault(rows.shape[1], (rows, {}))[1][k] = np.broadcast_arrays(*pairs)
+            else:
+                blocks.setdefault(request.shape[1], {})[k] = request
         sent = {}
-        for width in {rows.shape[1] for rows in asked.values()}:
-            group = [k for k in asked if asked[k].shape[1] == width]
-            norms = luxemburg_norm_dense(M, np.concatenate([asked[k] for k in group]))
-            sent.update(zip(group, np.split(norms, np.cumsum([len(asked[k]) for k in group])[:-1])))
+        if blocks:
+            solved = _norms(M, [np.concatenate(list(group.values())) for group in blocks.values()])
+            for group, norms in zip(blocks.values(), solved):
+                sent.update(_answers(group, norms, [len(b) for b in group.values()]))
+        for rows, group in tests.values():
+            ii, jj, rho = (np.concatenate(part) for part in zip(*group.values()))
+            sent.update(_answers(group, _pair_modular(M, rows, ii, jj, rho), [len(t[0]) for t in group.values()]))
     return out
+
+
+def _answers(group: dict, values: np.ndarray, sizes: list) -> zip:
+    """(task, its part of values) for the tasks of a group, whose requests
+    took sizes values each, in order."""
+    return zip(group, np.split(values, np.cumsum(sizes)[:-1]))
 
 
 def _cover(rows: np.ndarray, idx, M: OrliczFunction, max_centers: int):
@@ -212,7 +233,7 @@ def _cover(rows: np.ndarray, idx, M: OrliczFunction, max_centers: int):
         if dist[far] == 0.0:
             break
         live = np.flatnonzero(2.0 * dist >= dist[far] * (1.0 - _PRUNE_MARGIN))
-        sigma = _pair_modular(M, rows, idx[live], idx[far], dist[live] * (1.0 + _PRUNE_MARGIN))
+        sigma = yield rows, idx[live], idx[far], dist[live] * (1.0 + _PRUNE_MARGIN)
         live = live[~(sigma > 1.0)]  # NaN gets the exact solve
         dist[live] = np.minimum(dist[live], (yield rows[idx[live]] - rows[idx[far]]))
     return float(dist.max())
@@ -251,7 +272,7 @@ def _diameter_tasks(block: np.ndarray, levels, M: OrliczFunction, cap: int = 200
             reach = r * (1.0 - _PRUNE_MARGIN)
             near = row_norms[ii] + row_norms[jj] >= reach
             ii, jj = ii[near], jj[near]
-            sigma = _pair_modular(M, rows, ii, jj, reach)
+            sigma = yield rows, ii, jj, reach
             keep = ~(sigma <= 1.0)  # NaN gets the exact solve
             ii, jj, sigma = ii[keep], jj[keep], sigma[keep]
             if not ii.size:
@@ -267,10 +288,8 @@ def _diameter_tasks(block: np.ndarray, levels, M: OrliczFunction, cap: int = 200
 def _pair_modular(M: OrliczFunction, rows: np.ndarray, ii, jj, rho) -> np.ndarray:
     """sigma((rows[ii] - rows[jj]) / rho) pair by pair, _PRUNE_CHUNK pairs at a time.
 
-    jj and rho broadcast against ii, and rho > 0; a term that overflows reads inf.
+    ii, jj and rho have one entry per pair, and rho > 0; a term that overflows reads inf.
     """
-    jj = np.broadcast_to(jj, ii.shape)
-    rho = np.broadcast_to(rho, ii.shape)
     out = np.empty(len(ii), dtype=float)
     with np.errstate(over="ignore"):
         for s in range(0, len(ii), _PRUNE_CHUNK):

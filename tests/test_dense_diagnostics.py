@@ -7,6 +7,7 @@ diameter estimate built from the chosen sequences by `ref_block`, with a
 norm solve for every pair and every (point, center).
 """
 
+import collections
 import dataclasses
 import math
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orlicz.wellposed as wellposed
 from orlicz import (
     BallSampler,
     GridSampler,
@@ -40,6 +42,9 @@ from orlicz.wellposed import (
     WellPosednessReport,
     _dense_block,
     _diam_estimate,
+    _lockstep,
+    _pair_modular,
+    _trim,
 )
 
 SEEDS = range(20)
@@ -453,3 +458,59 @@ def test_lockstep_levels_on_special_blocks(family):
     for name, (rows, depth) in _lockstep_cases(M).items():
         for centers in (2, 8):
             _assert_levels_match_reference(rows, depth, M, centers)
+
+
+# -- one kernel call and one _pair_modular per width in each round ------------
+
+
+def _counting(calls, name, fn):
+    def call(*args):
+        calls[name] += 1
+        return fn(*args)
+    return call
+
+
+def _asking(requests, answers):
+    """A _lockstep task that yields each request in turn and keeps the answers."""
+    for request in requests:
+        answers.append((yield request))
+
+
+@pytest.mark.parametrize("family", ("non-delta2", "power:1.5", "non-delta2/bisect"))
+def test_lockstep_batched_sigma_tests_equal_each_tasks_own_call(family, monkeypatch):
+    # Tasks over _trim views of one block ask sigma tests of three widths,
+    # with a scalar center (as covering tasks ask) or a scalar radius (as
+    # diameter tasks ask), none at all, and norms in the same rounds.
+    M = PRUNE_FAMILIES[family]
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((30, 9)) * 0.3
+    block[rng.random(block.shape) < 0.5] = 0.0
+    block[:10, 4:] = block[10:20, 7:] = 0.0
+    block[0, 3] = block[10, 6] = block[20, 8] = 1.0
+    views = [_trim(block, np.arange(s, s + 10)) for s in (0, 10, 20)]
+    assert [v.shape[1] for v in views] == [4, 7, 9]
+    plans = []
+    for k, rows in enumerate(views + views[:2]):
+        ii = rng.integers(0, 30, size=k + 3)
+        plans.append([
+            (rows, ii, int(rng.integers(0, 30)), rng.uniform(0.1, 2.0, size=ii.size)),
+            rows[ii[:2]] - rows[ii[2:4]],
+            (rows, ii[::-1], rng.integers(0, 30, size=ii.size), float(rng.uniform(0.1, 2.0))),
+            (rows, ii[:0], ii[:0], 1.0),
+        ])
+    calls = collections.Counter()
+    monkeypatch.setattr(wellposed, "_norms", _counting(calls, "kernel", wellposed._norms))
+    monkeypatch.setattr(wellposed, "_pair_modular", _counting(calls, "pairs", wellposed._pair_modular))
+    answers = [[] for _ in plans]
+    _lockstep(M, [_asking(plan, got) for plan, got in zip(plans, answers)])
+    # Four rounds; the norm round is one kernel call, each sigma round one
+    # call per width.
+    assert calls == {"kernel": 1, "pairs": 3 * 3}
+    for plan, got in zip(plans, answers):
+        for request, answer in zip(plan, got):
+            if isinstance(request, tuple):
+                rows, ii, jj, rho = request
+                want = _pair_modular(M, rows, ii, np.broadcast_to(jj, ii.shape), np.broadcast_to(rho, ii.shape))
+            else:
+                want = luxemburg_norm_dense(M, request)
+            np.testing.assert_array_equal(answer.view(np.int64), want.view(np.int64))

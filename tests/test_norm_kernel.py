@@ -390,3 +390,150 @@ def test_an_understated_derivative_raises_without_a_warning(seed):
         warnings.simplefilter("error")
         with pytest.raises(OrliczError):
             luxemburg_norm_dense(M, item4_block(seed, 2000, 8))
+
+
+# -- the list kernel against the one-block loop it replaced -------------------
+
+
+def reference_norm_block(M, a, vmax, tol, level=1.0):
+    """The earlier Newton loop: one block a >= 0 with row maxima vmax > 0,
+    every entry through M and M' (or the forward difference) on every pass."""
+    if M.power is not None:
+        p = M.power[0]
+        if p == 1.0:
+            return modular_dense(M, a) / level
+        return vmax * (np.asarray(M.eval(a / vmax[:, None]), dtype=float).sum(axis=1) / level) ** (1.0 / p)
+    small = vmax < np.finfo(float).tiny
+    if small.any():
+        scale = np.where(small, 2.0 ** 64, 1.0)
+        return reference_norm_block(M, a * scale[:, None], vmax * scale, tol, level) / scale
+
+    def sigma_of(t):
+        return np.asarray(M.eval(t), dtype=float).sum(axis=1)
+
+    rho = vmax / (M.t_bar * max(level, 1.0))
+    if M.deriv1 is None:
+        for _ in range(200):
+            up = sigma_of(a / (2.0 * rho)[:, None]) > level
+            if not up.any():
+                break
+            rho[up] *= 2.0
+        else:
+            raise OrliczError("bracketing failed: sigma(x/rho) stayed above the level")
+    out = np.empty_like(rho)
+    live = np.arange(len(rho))
+    for _ in range(200):
+        t = a / rho[:, None]
+        sigma = sigma_of(t)
+        if M.deriv1 is None:
+            phi, slope = (sigma - level) * space._FD_STEP, sigma_of((1.0 + space._FD_STEP) * t) - sigma
+        else:
+            phi, slope = sigma - level, (np.asarray(M.deriv1(t), dtype=float) * t).sum(axis=1)
+        if not 0.0 < slope.min() <= slope.max() < np.inf:
+            raise OrliczError("the slope of sigma(x/rho) left (0, inf); check M")
+        q = phi / slope
+        rho = np.divide(rho, 1.0 - q, out=rho * (1.0 + q), where=(q > 0.0) & (q < 1.0))
+        if not 0.0 < rho.min() <= rho.max() < np.inf:
+            raise OrliczError("Newton step for the norm left (0, inf); check M")
+        done = q <= tol
+        if done.all():
+            out[live] = rho
+            return out
+        if done.any():
+            out[live[done]] = rho[done]
+            keep = ~done
+            a, rho, live = a[keep], rho[keep], live[keep]
+    raise OrliczError("Newton iteration for the norm did not converge")
+
+
+def reference_dense(M, rows, tol=2.0 ** -52, level=1.0):
+    """The earlier luxemburg_norm_dense: reference_norm_block per 1024 rows."""
+    out = np.zeros(len(rows))
+    for s in range(0, len(rows), 1024):
+        a = np.abs(rows[s : s + 1024])
+        vmax = a.max(axis=1, initial=0.0)
+        nz = vmax > 0.0
+        if nz.any():
+            out[s : s + len(a)][nz] = reference_norm_block(M, a[nz], vmax[nz], tol, level)
+    return out
+
+
+@st.composite
+def block_lists(draw):
+    """1 to 5 blocks of widths 1 to 60 with 0 to 95% zeros, all-zero rows,
+    rows with a subnormal max and row magnitudes 1e-300 to 1e300."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        width, n = draw(st.integers(1, 60)), draw(st.integers(1, 6))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        block = rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-300, 300, (n, 1))
+        block[rng.random(block.shape) < draw(st.sampled_from((0.0, 0.3, 0.7, 0.95)))] = 0.0
+        kind = rng.integers(0, 4, n)
+        block[kind == 0] = 0.0
+        block[kind == 1] *= 1e-310 / np.maximum(np.abs(block[kind == 1]).max(axis=1, initial=0.0), 1e-300)[:, None]
+        blocks.append(block)
+    return blocks
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except OrliczError as exc:
+        return type(exc)
+
+
+KERNEL_PATHS = {
+    "non-delta2": MN,
+    "non-delta2/fd": dataclasses.replace(MN, deriv1=None),
+    "power:1.5/newton": newton_only(parse_family("power:1.5")),
+    "power:3/fd": bisection_only(parse_family("power:3")),
+    "power:2": parse_family("power:2"),
+    "power:1": parse_family("power:1"),
+}
+
+
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+@given(blocks=block_lists())
+@settings(max_examples=60, deadline=None)
+def test_list_kernel_equals_the_one_block_loop(path, blocks):
+    M = KERNEL_PATHS[path]
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: space._norms(M, blocks, 2.0 ** -52))
+        want = _outcome(lambda: [reference_dense(M, b) for b in blocks])
+    if isinstance(want, type):
+        assert got is want
+    else:
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+        for b, w in zip(blocks, want):
+            np.testing.assert_array_equal(luxemburg_norm_dense(M, b).view(np.int64), w.view(np.int64))
+
+
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+@given(
+    values=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=60),
+    level=st.sampled_from((1e-20, 1e-6, 0.3, 1.0, 5.0, 1e6, 1e20)),
+    tol=st.sampled_from((1e-12, 2.0 ** -52)),
+)
+@settings(max_examples=40, deadline=None)
+def test_scale_to_modular_levels_equal_the_one_block_loop(path, values, level, tol):
+    M = KERNEL_PATHS[path]
+    a = np.array([values])
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: space._norm_rows(M, [a], a.max(axis=1), tol, level))
+        want = _outcome(lambda: reference_norm_block(M, a, a.max(axis=1), tol, level))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("path", ("non-delta2", "non-delta2/fd", "power:1.5/newton"))
+def test_list_kernel_batches_cut_across_blocks(path):
+    # 3,101 rows in all: the 1,024-row batches cut the blocks mid-way and
+    # hold rows of several widths.
+    M = KERNEL_PATHS[path]
+    blocks = [item4_block(seed, rows, width) for seed, (rows, width) in
+              enumerate(((700, 8), (1, 40), (900, 3), (1500, 54)))]
+    for got, block in zip(space._norms(M, blocks, 2.0 ** -52), blocks):
+        np.testing.assert_array_equal(got.view(np.int64), reference_dense(M, block).view(np.int64))

@@ -230,3 +230,10 @@ def test_scale_drops_a_product_that_underflows():
     x = SparseSequence.from_pairs([(1, 1e-200), (2, 1.0)])
     assert x.scale(1e-150).entries == ((2, 1e-150),)
     assert (x * 5e-324).entries == ((2, 5e-324),)
+
+
+@pytest.mark.parametrize("val", [0.0, -0.0, math.inf, -math.inf, math.nan, np.float64("nan"), np.float64(0.0)])
+def test_entry_validation_names_the_bad_value(val):
+    with pytest.raises(DomainError) as exc:
+        SparseSequence(((1, 0.5), (3, val)))
+    assert str(exc.value) == f"values must be nonzero and finite, got {val!r} at index 3"

@@ -375,3 +375,27 @@ def test_outer_sum_into_a_buffer_equals_a_new_array(dims):
     np.testing.assert_array_equal(buf, want)
     parts = [a.weight_at(i) * M.eval(np.abs(oracle.axis)) for i in oracle.indices]
     np.testing.assert_array_equal(oracle.sum_at(parts, np.arange(oracle.points)), want)
+
+
+@pytest.mark.parametrize("dims", range(1, 9))
+def test_outer_sum_equals_the_reduced_outer_add_with_special_terms(dims):
+    # Each row of the last axis takes that axis's vector plus a column of
+    # the other axes' sums: the same sums as the outer add, bit for bit,
+    # with +-inf and -0.0 terms; NaN lands at the same points.
+    oracle = GridOracle(tuple(range(1, dims + 1)), step=0.5 if dims <= 5 else 1.0, radius=1.0)
+    rng = np.random.default_rng(dims)
+    specials = np.array([math.inf, -math.inf, -0.0, 0.0, math.nan])
+
+    def term(axis, i):
+        out = rng.standard_normal(len(axis))
+        pick = rng.random(len(axis)) < 0.4
+        out[pick] = rng.choice(specials, size=np.count_nonzero(pick))
+        return out
+
+    parts = [term(oracle.axis, i) for i in oracle.indices]
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        want = functools.reduce(np.add.outer, parts).ravel()
+        got = oracle.outer_sum(lambda axis, i: parts[oracle.indices.index(i)])
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    np.testing.assert_array_equal(got[keep].view(np.int64), want[keep].view(np.int64))

@@ -45,16 +45,20 @@ directory.  The record holds:
   per side, in PAIRS alternating base/change pairs, with the medians,
   quartiles and the pairs the change won;
 - the work of one perfbench diagnose operation on each side, averaged over
-  DIAGNOSE_OPS rounds of seed SEED0: `luxemburg_norm_dense` calls and rows
-  per call site (the chain of `orlicz` frames below `wpmc_diagnose`, as
-  `module.function:line`), and `M.eval` and `deriv1` calls and elements,
-  counted by wrapping the functions in process;
+  DIAGNOSE_OPS rounds of seed SEED0: dense norm kernel calls and rows per
+  call site (the chain of `orlicz` frames below `wpmc_diagnose`, as
+  `module.function:line`; the kernel is `space._norms`, or
+  `luxemburg_norm_dense` on a tree without it), Newton loops (calls of
+  `space._norm_rows`, or `_norm_block`), `_pair_modular` calls and pairs,
+  the norm rows and sigma-test pairs of the covering and the diameter tasks
+  (counted where a task yields them or calls `_pair_modular` itself), and
+  `M.eval` and `deriv1` calls and elements, counted by wrapping the
+  functions in process;
 - the grid points at which the rounds sum g_a + f, on each side: per
   perfbench grid operation (averaged over GRID_OPS operations of seed
   SEED0), per criterion 07 and 08 solve and per constant-objective solve,
-  with the rounds they take, counted by wrapping the summing method of
-  GridOracle in process (`weighted_modular`, which sums the whole grid, or
-  `sum_at`, which sums the given points);
+  with the rounds they take, counted by wrapping `GridOracle.sum_at` in
+  process;
 - Tier-1 on each side, in TIER1_PAIRS alternating base/change pairs of
   `pytest --durations=0` runs: the median and quartiles of the wall time,
   the pass and fail counts of each run, and the median duration of each
@@ -234,9 +238,12 @@ for _ in range(int(sys.argv[1])):
 print(json.dumps({"ms": statistics.median(times)}))
 """
 
-# argv[1] perfbench diagnose operations (seed argv[2]) with luxemburg_norm_dense
-# wrapped in every orlicz namespace that holds it, and parse_family handing
-# the operation an M whose eval and deriv1 count; prints the work per operation.
+# argv[1] perfbench diagnose operations (seed argv[2]) with the dense norm
+# kernel (space._norms, or luxemburg_norm_dense where there is none), the
+# Newton loop (space._norm_rows, or _norm_block), _pair_modular and the
+# covering and diameter tasks wrapped in every orlicz namespace that holds
+# them, and parse_family handing the operation an M whose eval and deriv1
+# count; prints the work per operation.
 DIAGNOSE_COUNTS = r"""
 import collections, dataclasses, json, sys
 from pathlib import Path
@@ -247,9 +254,11 @@ import workloads
 
 ops, seed = int(sys.argv[1]), int(sys.argv[2])
 pkg = str(Path(orlicz.space.__file__).parent)
-norms = collections.defaultdict(collections.Counter)
-m_work = collections.defaultdict(collections.Counter)
-raw = orlicz.space.luxemburg_norm_dense
+space, wellposed = orlicz.space, orlicz.wellposed
+kernel_name = "_norms" if hasattr(space, "_norms") else "luxemburg_norm_dense"
+loop_name = "_norm_rows" if hasattr(space, "_norm_rows") else "_norm_block"
+kernel = collections.defaultdict(collections.Counter)
+work = collections.defaultdict(collections.Counter)
 
 
 def site():
@@ -260,19 +269,66 @@ def site():
     return " < ".join(chain)
 
 
-def counted_norm(M, rows, *args, **kwargs):
-    norms[site()].update(calls=1, rows=len(np.atleast_2d(rows)))
-    return raw(M, rows, *args, **kwargs)
+def patch(name, wrapper):
+    # Replace the function in every orlicz module that holds it.
+    raw = getattr(space, name, None) or getattr(wellposed, name)
+    new = wrapper(raw)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("orlicz") and getattr(mod, name, None) is raw:
+            setattr(mod, name, new)
 
 
-for name, mod in list(sys.modules.items()):
-    if name.startswith("orlicz") and getattr(mod, "luxemburg_norm_dense", None) is raw:
-        mod.luxemburg_norm_dense = counted_norm
+def counted_kernel(raw):
+    def call(M, rows, *args, **kwargs):
+        n = sum(len(b) for b in rows) if kernel_name == "_norms" else len(np.atleast_2d(rows))
+        kernel[site()].update(calls=1, rows=n)
+        return raw(M, rows, *args, **kwargs)
+    return call
+
+
+def counted_loop(raw):
+    def call(M, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name != loop_name:  # not its own rescaled call
+            work["newton_loops"].update(calls=1)
+        return raw(M, *args, **kwargs)
+    return call
+
+
+def counted_pairs(raw):
+    def call(M, rows, ii, *args):
+        work["_pair_modular"].update(calls=1, pairs=len(ii))
+        caller = sys._getframe(1).f_code.co_name
+        if caller in ("_cover", "diameter"):  # a task that runs its own sigma tests
+            work[f"{caller} task"].update(sigma_pairs=len(ii))
+        return raw(M, rows, ii, *args)
+    return call
+
+
+def counted_task(kind, task):
+    answer = None
+    try:
+        while True:
+            request = task.send(answer)
+            if isinstance(request, tuple):
+                work[f"{kind} task"].update(sigma_pairs=np.broadcast(*request[1:]).size)
+            else:
+                work[f"{kind} task"].update(norm_rows=len(request))
+            answer = yield request
+    except StopIteration as stop:
+        return stop.value
+
+
+cover, diameter_tasks = wellposed._cover, wellposed._diameter_tasks
+wellposed._cover = lambda *args: counted_task("_cover", cover(*args))
+wellposed._diameter_tasks = lambda *args: [counted_task("diameter", t) for t in diameter_tasks(*args)]
+patch(kernel_name, counted_kernel)
+patch(loop_name, counted_loop)
+patch("_pair_modular", counted_pairs)
 
 
 def counted(kind, fn):
     def call(t):
-        m_work[kind].update(calls=1, elements=np.size(t))
+        work[kind].update(calls=1, elements=np.size(t))
         return fn(t)
     return call
 
@@ -282,7 +338,7 @@ parse_family = orlicz.functions.parse_family
 
 def counted_family(spec):
     M = parse_family(spec)
-    return dataclasses.replace(M, eval=counted("eval", M.eval), deriv1=counted("deriv1", M.deriv1))
+    return dataclasses.replace(M, eval=counted("M.eval", M.eval), deriv1=counted("M.deriv1", M.deriv1))
 
 
 orlicz.functions.parse_family = counted_family
@@ -291,19 +347,20 @@ for r in range(ops):
     workload.ops(r)[0].run()
 per_op = lambda c: {k: v / ops for k, v in sorted(c.items())}
 print(json.dumps({
-    "luxemburg_norm_dense": {
-        "calls": sum(c["calls"] for c in norms.values()) / ops,
-        "rows": sum(c["rows"] for c in norms.values()) / ops,
-        "sites": {s: per_op(c) for s, c in sorted(norms.items())},
+    "norm_kernel": {
+        "function": kernel_name,
+        "calls": sum(c["calls"] for c in kernel.values()) / ops,
+        "rows": sum(c["rows"] for c in kernel.values()) / ops,
+        "sites": {s: per_op(c) for s, c in sorted(kernel.items())},
     },
-    **{f"M.{kind}": per_op(c) for kind, c in m_work.items()},
+    **{kind: per_op(c) for kind, c in sorted(work.items())},
 }))
 """
 
 
 # The grid points the rounds sum g_a + f at: argv[1] perfbench grid
 # operations (seed argv[2]), then criteria 07 and 08 and the constant
-# objective on the 8.1M-point grid, with GridOracle's summing method and
+# objective on the 8.1M-point grid, with GridOracle.sum_at and
 # engine._total_values wrapped; prints points and rounds per operation or
 # solve.
 ROUND_POINTS = r"""
@@ -326,22 +383,15 @@ def counted_rounds(*args, **kwargs):
 
 
 engine._total_values = counted_rounds
-if hasattr(GridOracle, "sum_at"):
-    sum_at = GridOracle.sum_at
+sum_at = GridOracle.sum_at
 
-    def counted_sum_at(self, parts, flat):
-        counts["points"] += len(flat)
-        return sum_at(self, parts, flat)
 
-    GridOracle.sum_at = counted_sum_at
-else:
-    weighted_modular = GridOracle.weighted_modular
+def counted_sum_at(self, parts, flat):
+    counts["points"] += len(flat)
+    return sum_at(self, parts, flat)
 
-    def counted_weighted_modular(self, M, a, out=None):
-        counts["points"] += self.points
-        return weighted_modular(self, M, a, out)
 
-    GridOracle.weighted_modular = counted_weighted_modular
+GridOracle.sum_at = counted_sum_at
 
 
 def taken(run, n=1):
@@ -625,7 +675,8 @@ def _diagnose_counts(sides: dict[str, Path]) -> dict:
     out = {"ops": DIAGNOSE_OPS, "seed": SEED0}
     for side, tree in sides.items():
         out[side] = _last_json([sys.executable, "-c", DIAGNOSE_COUNTS, str(DIAGNOSE_OPS), str(SEED0)], tree, _env())
-        print(f"diagnose counts {side}: {out[side]['luxemburg_norm_dense']['calls']:.1f} norm calls per op", file=sys.stderr)
+        print(f"diagnose counts {side}: {out[side]['norm_kernel']['calls']:.1f} norm kernel calls, "
+              f"{out[side]['_pair_modular']['calls']:.1f} _pair_modular calls per op", file=sys.stderr)
     return out
 
 
