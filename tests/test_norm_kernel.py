@@ -4,8 +4,10 @@ The kernel answers power families in closed form and every other family by
 Newton's method in u = 1/rho, with a forward difference of the modular in
 place of M' when M has no derivative.  Each path is checked here against a
 plain scalar bisection that runs the bracket down to adjacent floats, the
-Newton step against the rho-form step it replaced, and the forward-difference
-step against Newton on the same rows.
+Newton step against the rho-form step it replaced, the forward-difference
+step against Newton on the same rows, and the list kernel, which packs the
+nonzero entries of several blocks into one loop, against the one-block loop
+it replaced.
 """
 
 import dataclasses
