@@ -195,13 +195,14 @@ def _norm_rows(
     the nonzero entries of every live row.
     """
     if M.power is not None:
+        if len(blocks) > 1:  # the closed form goes block by block
+            return np.concatenate([_norm_rows(M, [a], m, tol, level) for a, m in zip(blocks, _split(vmax, blocks))])
         # (s sum a^p / level)^(1/p), scaled by the row max so that neither
-        # a^p underflows nor overflows; for p = 1, rho is the modular itself.
+        # a^p underflows nor overflows.
         p = M.power[0]
-        rho = [modular_dense(M, a) / level if p == 1.0 else
-               m * (np.asarray(M.eval(a / m[:, None]), dtype=float).sum(axis=1) / level) ** (1.0 / p)
-               for a, m in zip(blocks, _split(vmax, blocks))]
-        return rho[0] if len(rho) == 1 else np.concatenate(rho)
+        if p == 1.0:  # rho is the modular itself
+            return modular_dense(M, blocks[0]) / level
+        return vmax * (np.asarray(M.eval(blocks[0] / vmax[:, None]), dtype=float).sum(axis=1) / level) ** (1.0 / p)
     small = vmax < np.finfo(float).tiny
     if np.count_nonzero(small):
         # For a subnormal row max, vmax/t_bar may underflow to 0: solve those
