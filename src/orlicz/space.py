@@ -7,6 +7,7 @@ exact finite sums here because every sequence has finite support.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -89,49 +90,79 @@ def luxemburg_norm_dense(
 def _norms(M: OrliczFunction, blocks: list, tol: float = _FULL_PRECISION) -> list:
     """Per block of rows, of any widths, each row's Luxemburg norm.
 
-    The nonzero rows go to _norm_rows in batches of at most 1024, cut from
-    the blocks in order, which bounds the temporaries.  A row's norm depends
-    on its entries and its block's width only, not on the rest of the batch.
+    Blocks of one width are stacked, and the nonzero rows go to _norm_rows
+    through _batches.  A row's norm depends on its entries and its block's
+    width only, not on the rest of the batch.
     """
-    out = [np.zeros(len(b)) for b in blocks]
-    for batch in _batches([len(b) for b in blocks]):
-        places, rows, vmax = [], [], []
-        for k, s, e in batch:
-            a = np.abs(blocks[k][s:e])
-            m = a.max(axis=1, initial=0.0)
-            nz = m > 0.0
-            count = np.count_nonzero(nz)
-            if count == len(nz):
-                places.append((k, slice(s, e)))
-            elif count:
-                places.append((k, s + np.flatnonzero(nz)))
-                a, m = a[nz], m[nz]
-            else:
-                continue
-            rows.append(a)
-            vmax.append(m)
-        if rows:
-            rho = _norm_rows(M, rows, np.concatenate(vmax) if len(vmax) > 1 else vmax[0], tol)
-            for (k, where), r in zip(places, _split(rho, rows)):
-                out[k][where] = r
+    widths = {}
+    for k, b in enumerate(blocks):
+        widths.setdefault(b.shape[1], []).append(k)
+    stacks = [np.concatenate([blocks[k] for k in ks]) if len(ks) > 1 else blocks[ks[0]] for ks in widths.values()]
+
+    def nonzero_rows(k, s, e):
+        a = np.abs(stacks[k][s:e])
+        m = a.max(axis=1, initial=0.0)
+        nz = m > 0.0
+        if np.count_nonzero(nz) == len(nz):
+            return slice(s, e), a, m
+        return s + np.flatnonzero(nz), a[nz], m[nz]
+
+    solved = _batches([len(b) for b in stacks], nonzero_rows, lambda rows, vmax: _norm_rows(M, rows, vmax, tol))
+    out = [None] * len(blocks)
+    for ks, values in zip(widths.values(), solved):
+        for k, v in zip(ks, _split(values, [blocks[k] for k in ks])):
+            out[k] = v
     return out
 
 
-def _batches(lengths: list) -> list:
-    """Lists of pieces (block, start, stop) of at most _BLOCK_ROWS rows in
-    all, which cover the blocks of these lengths in order."""
-    batches, room = [[]], _BLOCK_ROWS
-    for k, n in enumerate(lengths):
-        s = 0
-        while s < n:
-            if not room:
-                batches.append([])
-                room = _BLOCK_ROWS
-            e = min(n, s + room)
-            batches[-1].append((k, s, e))
-            room -= e - s
-            s = e
-    return batches
+def _sigmas(M: OrliczFunction, tests: list) -> list:
+    """Per sigma test (rows, ii, jj, rho), sigma((rows[ii] - rows[jj]) / rho)
+    pair by pair, summed at the width of its rows; a term that overflows
+    reads inf.
+
+    ii, jj and rho broadcast to one entry per pair, and rho > 0.  The pairs
+    go through _batches, and M is evaluated at their nonzero differences
+    only, packed as in a Newton pass.
+    """
+    tests = [(rows, *np.broadcast_arrays(ii, jj, rho)) for rows, ii, jj, rho in tests]
+
+    def differences(k, s, e):
+        rows, ii, jj, rho = tests[k]
+        return slice(s, e), np.abs(rows[ii[s:e]] - rows[jj[s:e]]), rho[s:e]
+
+    def sigma(blocks, rho):
+        entries, row, layout = _pack(blocks)
+        return _sums(M.eval(entries / rho[row]), layout)
+
+    with np.errstate(over="ignore"):
+        return _batches([len(t[1]) for t in tests], differences, sigma)
+
+
+def _batches(lengths: list, rows, solve) -> list:
+    """Per block of these lengths, one value per row, 0 where rows leaves it out.
+
+    The rows go to solve in batches of at most 1024, cut from the blocks in
+    order, which bounds the temporaries.  rows(k, s, e) gives (where, a, x)
+    for rows s:e of block k: where the rows to solve are, as a block a >= 0,
+    and one input x per row; solve takes a batch's list of a and their x
+    concatenated, and gives one value per row.
+    """
+    out, starts = [np.zeros(n) for n in lengths], list(itertools.accumulate(lengths, initial=0))
+    for lo in range(0, starts[-1], _BLOCK_ROWS):
+        places, blocks, inputs = [], [], []
+        for k, n in enumerate(lengths):
+            s, e = max(lo - starts[k], 0), min(lo + _BLOCK_ROWS - starts[k], n)
+            if s < e:
+                where, a, x = rows(k, s, e)
+                if len(a):
+                    places.append((k, where))
+                    blocks.append(a)
+                    inputs.append(x)
+        if blocks:
+            values = solve(blocks, np.concatenate(inputs) if len(inputs) > 1 else inputs[0])
+            for (k, where), v in zip(places, _split(values, blocks)):
+                out[k][where] = v
+    return out
 
 
 def _split(values: np.ndarray, blocks: list) -> list:
@@ -142,16 +173,16 @@ def _split(values: np.ndarray, blocks: list) -> list:
 
 
 def _pack(blocks: list) -> tuple:
-    """(entries, row, layout) for a Newton pass: what it divides by rho, the
+    """(entries, row, layout) for a pass of M: what it divides by rho, the
     index into rho of each entry's row (or an index that broadcasts), and
     where _sums finds each row's terms (None: the terms are the rows).
 
     A lone block without zeros is passed as it is.  Otherwise the entries
     are one 0, then each block's nonzero entries row by row, and the 0's
     term stands in for every zero: the sums add the same terms in the same
-    order as over the whole rows.  (0/rho = 0 for every rho the loop keeps;
-    a start rho that underflows to 0 fails a slope or bracketing test with
-    any term for the zeros.)
+    order as over the whole rows.  (0/rho = 0 for a sigma test's rho > 0
+    and every rho the Newton loop keeps; a start rho that underflows to 0
+    fails a slope or bracketing test with any term for the zeros.)
     """
     if len(blocks) == 1 and np.count_nonzero(blocks[0]) == blocks[0].size:
         return blocks[0], (slice(None), None), None

@@ -19,7 +19,7 @@ from .errors import DomainError, NotProperError, OrliczError
 from .functions import OrliczFunction
 from .sampling import dense_to_sequences
 from .sequences import SparseSequence, to_jsonable
-from .space import _norms, luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
+from .space import _norms, _sigmas, luxemburg_norm, luxemburg_norm_dense, modular
 
 __all__ = [
     "SublevelSample",
@@ -41,8 +41,6 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 # diameter skip norm solves: a row whose norm ties the test's radius within
 # rounding still gets the exact solve.
 _PRUNE_MARGIN = 1e-9
-# Pairs per chunk of those modular tests, which bounds their temporaries.
-_PRUNE_CHUNK = 1024
 # Coordinates a witness may have.  Building one with its norm and modulars
 # peaks at about 230 bytes per coordinate under tracemalloc (19 MB at 81,937),
 # so the cap bounds it near 60 MB, the order of the 32 MiB sample cap.
@@ -177,12 +175,9 @@ def _diam_estimate(rows: np.ndarray, M: OrliczFunction, cap: int = 200) -> float
 def _lockstep(M: OrliczFunction, tasks: list) -> list:
     """Each task's return value.  A task is a generator that yields requests
     and is sent their answers: a block of rows, for the rows' norms, or a
-    sigma test (rows, ii, jj, rho), for _pair_modular of it.  A round
-    answers every pending block in one norm kernel call, the blocks of one
-    width stacked, and the sigma tests in one _pair_modular per width: a
-    row's norm and a pair's sigma depend on their width, not on the other
-    rows.  So sigma tests of one width must index the same rows, as they do
-    when every task's rows are a _trim view of one block.
+    sigma test (rows, ii, jj, rho), for sigma((rows[ii] - rows[jj]) / rho)
+    pair by pair.  A round answers its pending blocks in one call of
+    space._norms and its pending sigma tests in one call of space._sigmas.
     """
     out, sent = [None] * len(tasks), dict.fromkeys(range(len(tasks)))
     while sent:
@@ -193,26 +188,11 @@ def _lockstep(M: OrliczFunction, tasks: list) -> list:
             except StopIteration as stop:
                 out[k] = stop.value
                 continue
-            if isinstance(request, tuple):
-                rows, *pairs = request
-                tests.setdefault(rows.shape[1], (rows, {}))[1][k] = np.broadcast_arrays(*pairs)
-            else:
-                blocks.setdefault(request.shape[1], {})[k] = request
-        sent = {}
-        if blocks:
-            solved = _norms(M, [np.concatenate(list(group.values())) for group in blocks.values()])
-            for group, norms in zip(blocks.values(), solved):
-                sent.update(_answers(group, norms, [len(b) for b in group.values()]))
-        for rows, group in tests.values():
-            ii, jj, rho = (np.concatenate(part) for part in zip(*group.values()))
-            sent.update(_answers(group, _pair_modular(M, rows, ii, jj, rho), [len(t[0]) for t in group.values()]))
+            (tests if isinstance(request, tuple) else blocks)[k] = request
+        sent = dict(zip(blocks, _norms(M, list(blocks.values())))) if blocks else {}
+        if tests:
+            sent.update(zip(tests, _sigmas(M, list(tests.values()))))
     return out
-
-
-def _answers(group: dict, values: np.ndarray, sizes: list) -> zip:
-    """(task, its part of values) for the tasks of a group, whose requests
-    took sizes values each, in order."""
-    return zip(group, np.split(values, np.cumsum(sizes)[:-1]))
 
 
 def _cover(rows: np.ndarray, idx, M: OrliczFunction, max_centers: int):
@@ -283,19 +263,6 @@ def _diameter_tasks(block: np.ndarray, levels, M: OrliczFunction, cap: int = 200
         return max(r, float((yield rows[ii] - rows[jj]).max()))
 
     return [diameter(_trim(block, idx), idx) for idx in levels]
-
-
-def _pair_modular(M: OrliczFunction, rows: np.ndarray, ii, jj, rho) -> np.ndarray:
-    """sigma((rows[ii] - rows[jj]) / rho) pair by pair, _PRUNE_CHUNK pairs at a time.
-
-    ii, jj and rho have one entry per pair, and rho > 0; a term that overflows reads inf.
-    """
-    out = np.empty(len(ii), dtype=float)
-    with np.errstate(over="ignore"):
-        for s in range(0, len(ii), _PRUNE_CHUNK):
-            c = slice(s, s + _PRUNE_CHUNK)
-            out[c] = modular_dense(M, (rows[ii[c]] - rows[jj[c]]) / rho[c, None])
-    return out
 
 
 def intersection_lemma_check(

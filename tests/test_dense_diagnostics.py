@@ -28,7 +28,9 @@ from orlicz import (
     make_non_delta2,
     make_power,
     modular,
+    modular_dense,
     non_delta2_witness,
+    parse_family,
     parse_objective,
     sublevel_sample,
     wpmc_diagnose,
@@ -43,9 +45,9 @@ from orlicz.wellposed import (
     _dense_block,
     _diam_estimate,
     _lockstep,
-    _pair_modular,
     _trim,
 )
+from orlicz.space import _sigmas
 
 SEEDS = range(20)
 LEVELS = (0.25, 0.015625)
@@ -460,13 +462,62 @@ def test_lockstep_levels_on_special_blocks(family):
             _assert_levels_match_reference(rows, depth, M, centers)
 
 
-# -- one kernel call and one _pair_modular per width in each round ------------
+# -- one norm kernel call and one sigma call in each round --------------------
+
+
+def ref_pair_modular(M, rows, ii, jj, rho):
+    """The earlier sigma tests: sigma((rows[ii] - rows[jj]) / rho) pair by
+    pair, 1024 pairs at a time, every entry of the difference through M."""
+    out = np.empty(len(ii), dtype=float)
+    with np.errstate(over="ignore"):
+        for s in range(0, len(ii), 1024):
+            c = slice(s, s + 1024)
+            out[c] = modular_dense(M, (rows[ii[c]] - rows[jj[c]]) / rho[c, None])
+    return out
+
+
+def _assert_sigmas_equal_reference(M, tests, got):
+    for (rows, ii, jj, rho), g in zip(tests, got):
+        want = ref_pair_modular(M, rows, *np.broadcast_arrays(ii, jj, rho))
+        np.testing.assert_array_equal(g.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def _sigma_tests(draw):
+    """1 to 4 sigma tests on their own row blocks of widths 1 to 60, with 0
+    to 3,000 pairs in all, so that the 1,024-pair batches cut across tests;
+    rows equal in places or whole, rows up to 1e300 and rho from 1e-300 to
+    1e300, so that terms overflow to inf; a center or radius may be one
+    scalar, as the covering and diameter tasks ask."""
+    total, count = draw(st.integers(0, 3000)), draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=count - 1, max_size=count - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tests = []
+    for size in np.diff([0, *cuts, total]):
+        width, n = draw(st.integers(1, 60)), draw(st.integers(1, 12))
+        rows = rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-300, 300, (n, 1))
+        rows[rng.random(rows.shape) < draw(st.sampled_from((0.0, 0.3, 0.7, 0.95)))] = 0.0
+        rows[rng.random(rows.shape) < 0.2] = rows[0, 0]
+        ii = rng.integers(0, n, size)
+        jj = int(rng.integers(0, n)) if draw(st.booleans()) else rng.integers(0, n, size)
+        rho = 10.0 ** rng.uniform(-300, 300, size)
+        tests.append((rows, ii, jj, float(rho[0]) if size and draw(st.booleans()) else rho))
+    return tests
+
+
+@pytest.mark.parametrize("family", ("power:1", "power:1.5", "power:3", "power:2:0.25", "non-delta2"))
+@given(tests=_sigma_tests())
+@settings(max_examples=40, deadline=None)
+def test_sigma_entry_equals_the_dense_pair_modular(family, tests):
+    M = parse_family(family)
+    with np.errstate(all="ignore"):
+        _assert_sigmas_equal_reference(M, tests, _sigmas(M, tests))
 
 
 def _counting(calls, name, fn):
-    def call(*args):
-        calls[name] += 1
-        return fn(*args)
+    def call(M, requests):
+        calls[name].append(len(requests))
+        return fn(M, requests)
     return call
 
 
@@ -492,25 +543,36 @@ def test_lockstep_batched_sigma_tests_equal_each_tasks_own_call(family, monkeypa
     plans = []
     for k, rows in enumerate(views + views[:2]):
         ii = rng.integers(0, 30, size=k + 3)
-        plans.append([
+        plan = [
             (rows, ii, int(rng.integers(0, 30)), rng.uniform(0.1, 2.0, size=ii.size)),
             rows[ii[:2]] - rows[ii[2:4]],
             (rows, ii[::-1], rng.integers(0, 30, size=ii.size), float(rng.uniform(0.1, 2.0))),
             (rows, ii[:0], ii[:0], 1.0),
-        ])
-    calls = collections.Counter()
+        ]
+        plans.append(plan if k % 2 == 0 else plan[1::-1] + plan[2:])  # odd tasks ask the norms first
+    calls = collections.defaultdict(list)
     monkeypatch.setattr(wellposed, "_norms", _counting(calls, "kernel", wellposed._norms))
-    monkeypatch.setattr(wellposed, "_pair_modular", _counting(calls, "pairs", wellposed._pair_modular))
+    monkeypatch.setattr(wellposed, "_sigmas", _counting(calls, "sigma", wellposed._sigmas))
     answers = [[] for _ in plans]
     _lockstep(M, [_asking(plan, got) for plan, got in zip(plans, answers)])
-    # Four rounds; the norm round is one kernel call, each sigma round one
-    # call per width.
-    assert calls == {"kernel": 1, "pairs": 3 * 3}
+    # Four rounds: each makes one call of each kind it has requests of,
+    # with every pending request of that kind.
+    assert calls == {"kernel": [2, 3], "sigma": [3, 2, 5, 5]}
     for plan, got in zip(plans, answers):
         for request, answer in zip(plan, got):
             if isinstance(request, tuple):
-                rows, ii, jj, rho = request
-                want = _pair_modular(M, rows, ii, np.broadcast_to(jj, ii.shape), np.broadcast_to(rho, ii.shape))
+                _assert_sigmas_equal_reference(M, [request], [answer])
             else:
-                want = luxemburg_norm_dense(M, request)
-            np.testing.assert_array_equal(answer.view(np.int64), want.view(np.int64))
+                np.testing.assert_array_equal(answer.view(np.int64), luxemburg_norm_dense(M, request).view(np.int64))
+
+
+def test_lockstep_sigma_tests_of_one_width_keep_their_own_rows():
+    # Two tasks ask sigma tests of one width in one round, over different
+    # blocks: each is answered on its own rows.
+    M = make_non_delta2()
+    rng = np.random.default_rng(8)
+    plans = [[(rng.standard_normal((6, 5)) * scale, np.arange(6), 0, 0.5)] for scale in (0.1, 1.0)]
+    answers = [[] for _ in plans]
+    _lockstep(M, [_asking(plan, got) for plan, got in zip(plans, answers)])
+    for plan, got in zip(plans, answers):
+        _assert_sigmas_equal_reference(M, plan, got)

@@ -49,11 +49,12 @@ directory.  The record holds:
   call site (the chain of `orlicz` frames below `wpmc_diagnose`, as
   `module.function:line`; the kernel is `space._norms`, or
   `luxemburg_norm_dense` on a tree without it), Newton loops (calls of
-  `space._norm_rows`, or `_norm_block`), `_pair_modular` calls and pairs,
-  the norm rows and sigma-test pairs of the covering and the diameter tasks
-  (counted where a task yields them or calls `_pair_modular` itself), and
-  `M.eval` and `deriv1` calls and elements, counted by wrapping the
-  functions in process;
+  `space._norm_rows`, or `_norm_block`), calls and pairs of the sigma entry
+  (`space._sigmas`, or `_pair_modular` on a tree without it), the norm rows
+  and sigma-test pairs of the covering and the diameter tasks (counted
+  where a task yields them or calls `_pair_modular` itself), and `M.eval`
+  and `deriv1` calls and elements, counted by wrapping the functions in
+  process;
 - the grid points at which the rounds sum g_a + f, on each side: per
   perfbench grid operation (averaged over GRID_OPS operations of seed
   SEED0), per criterion 07 and 08 solve and per constant-objective solve,
@@ -61,10 +62,9 @@ directory.  The record holds:
   process;
 - Tier-1 on each side, in TIER1_PAIRS alternating base/change pairs of
   `pytest --durations=0` runs: the median and quartiles of the wall time,
-  the pass and fail counts of each run, and the median duration of each
-  test that runs the norm kernel without M' (the "/bisect" cases, with the
-  other cases of the same parametrized tests for comparison, and the tests
-  that call `bisection_only`);
+  the pass and fail counts of each run, the verdict of each of the 14
+  acceptance criteria in each run (the PASS/FAIL lines of the terminal
+  summary), and the median duration of every test;
 - the norm kernel without M' on the sets of DERIVATIVE_FREE: 2,000 random
   rows of widths 8 and 40, about 30% zeros and row magnitudes 1e-4 to 1e2,
   on non-delta2, power:1.5 and power:3 with closed form and deriv1 removed:
@@ -128,13 +128,9 @@ WELLPOSED_RUNS = 5
 DIAGNOSE_OPS = 20
 GRID_OPS = 20
 # Alternating base/change pairs of Tier-1 runs, and the pytest arguments of
-# one run.  Node ids that contain one of TIER1_KERNEL_TESTS, and the other
-# cases of a parametrized test with a "/bisect" case, get their durations
-# recorded.
+# one run.
 TIER1_PAIRS = 5
 TIER1_ARGS = ("--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0", "--durations-min=0")
-TIER1_KERNEL_TESTS = ("/bisect", "bisection", "forward_difference",
-                      "test_closed_form_newton_and_reference_agree", "test_scalar_norm_honours_a_loose_tol")
 # Direction of each perfbench end-to-end metric, as BENCHMARK.json declares it.
 LOWER_IS_BETTER = {"setup_s": True, "op_ms": True, "ops_per_s": False, "peak_rss_mb": True}
 THREAD_VARS = (
@@ -240,9 +236,9 @@ print(json.dumps({"ms": statistics.median(times)}))
 
 # argv[1] perfbench diagnose operations (seed argv[2]) with the dense norm
 # kernel (space._norms, or luxemburg_norm_dense where there is none), the
-# Newton loop (space._norm_rows, or _norm_block), _pair_modular and the
-# covering and diameter tasks wrapped in every orlicz namespace that holds
-# them, and parse_family handing the operation an M whose eval and deriv1
+# Newton loop (space._norm_rows, or _norm_block), the sigma entry
+# (space._sigmas, or _pair_modular where there is none) and the covering
+# and diameter tasks wrapped in every orlicz namespace that holds them, and parse_family handing the operation an M whose eval and deriv1
 # count; prints the work per operation.
 DIAGNOSE_COUNTS = r"""
 import collections, dataclasses, json, sys
@@ -257,7 +253,9 @@ pkg = str(Path(orlicz.space.__file__).parent)
 space, wellposed = orlicz.space, orlicz.wellposed
 kernel_name = "_norms" if hasattr(space, "_norms") else "luxemburg_norm_dense"
 loop_name = "_norm_rows" if hasattr(space, "_norm_rows") else "_norm_block"
+sigma_name = "_sigmas" if hasattr(space, "_sigmas") else "_pair_modular"
 kernel = collections.defaultdict(collections.Counter)
+sigma = collections.Counter()
 work = collections.defaultdict(collections.Counter)
 
 
@@ -295,12 +293,14 @@ def counted_loop(raw):
 
 
 def counted_pairs(raw):
-    def call(M, rows, ii, *args):
-        work["_pair_modular"].update(calls=1, pairs=len(ii))
+    def call(M, *args):
+        # _sigmas(M, tests) or _pair_modular(M, rows, ii, jj, rho)
+        pairs = sum(np.broadcast(*t[1:]).size for t in args[0]) if sigma_name == "_sigmas" else len(args[1])
+        sigma.update(calls=1, pairs=pairs)
         caller = sys._getframe(1).f_code.co_name
         if caller in ("_cover", "diameter"):  # a task that runs its own sigma tests
-            work[f"{caller} task"].update(sigma_pairs=len(ii))
-        return raw(M, rows, ii, *args)
+            work[f"{caller} task"].update(sigma_pairs=pairs)
+        return raw(M, *args)
     return call
 
 
@@ -323,7 +323,7 @@ wellposed._cover = lambda *args: counted_task("_cover", cover(*args))
 wellposed._diameter_tasks = lambda *args: [counted_task("diameter", t) for t in diameter_tasks(*args)]
 patch(kernel_name, counted_kernel)
 patch(loop_name, counted_loop)
-patch("_pair_modular", counted_pairs)
+patch(sigma_name, counted_pairs)
 
 
 def counted(kind, fn):
@@ -353,6 +353,7 @@ print(json.dumps({
         "rows": sum(c["rows"] for c in kernel.values()) / ops,
         "sites": {s: per_op(c) for s, c in sorted(kernel.items())},
     },
+    "sigma_entry": {"function": sigma_name, **per_op(sigma)},
     **{kind: per_op(c) for kind, c in sorted(work.items())},
 }))
 """
@@ -630,7 +631,8 @@ def _wellposed_timing(sides: dict[str, Path]) -> dict:
 
 
 def _tier1_run(tree: Path) -> dict:
-    """Wall seconds, outcome counts and per-test durations of one Tier-1 run."""
+    """Wall seconds, outcome counts, criterion verdicts and per-test durations
+    of one Tier-1 run."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *TIER1_ARGS], cwd=tree,
                           env=_env(tree / "src"), capture_output=True, text=True)
@@ -638,9 +640,10 @@ def _tier1_run(tree: Path) -> dict:
     lines = proc.stdout.strip().splitlines()
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?|skipped)", lines[-1])}
     durations = collections.Counter()
-    for m in re.finditer(r"^([\d.]+)s (?:setup|call|teardown) +(\S+)$", proc.stdout, re.M):
+    for m in re.finditer(r"^([\d.]+)s (?:setup|call|teardown) +(\S.*?) *$", proc.stdout, re.M):
         durations[m[2]] += float(m[1])
-    return {"seconds": seconds, "counts": counts, "durations": durations}
+    criteria = dict(re.findall(r"^(criterion \d+ .*): (PASS|FAIL)$", proc.stdout, re.M))
+    return {"seconds": seconds, "counts": counts, "criteria": criteria, "durations": durations}
 
 
 def _tier1(sides: dict[str, Path]) -> dict:
@@ -651,13 +654,12 @@ def _tier1(sides: dict[str, Path]) -> dict:
             print(f"tier-1 pair {k} {side}: {runs[side][-1]['seconds']:.1f} s {runs[side][-1]['counts']}", file=sys.stderr)
     out = {"pytest_args": list(TIER1_ARGS)}
     for side, rs in runs.items():
-        ids = set().union(*(r["durations"] for r in rs))
-        bisect_tests = {i.split("[")[0] for i in ids if "/bisect" in i}
-        kept = sorted(i for i in ids if i.split("[")[0] in bisect_tests or any(p in i for p in TIER1_KERNEL_TESTS))
         out[side] = {
             "seconds": _summary([r["seconds"] for r in rs]),
             "counts": [r["counts"] for r in rs],
-            "kernel_test_median_s": {i: statistics.median(r["durations"][i] for r in rs) for i in kept},
+            "criterion_verdicts": {c: [r["criteria"].get(c) for r in rs] for c in sorted(set().union(*(r["criteria"] for r in rs)))},
+            "test_median_s": {i: statistics.median(r["durations"][i] for r in rs)
+                              for i in sorted(set().union(*(r["durations"] for r in rs)))},
         }
     return out
 
@@ -676,7 +678,7 @@ def _diagnose_counts(sides: dict[str, Path]) -> dict:
     for side, tree in sides.items():
         out[side] = _last_json([sys.executable, "-c", DIAGNOSE_COUNTS, str(DIAGNOSE_OPS), str(SEED0)], tree, _env())
         print(f"diagnose counts {side}: {out[side]['norm_kernel']['calls']:.1f} norm kernel calls, "
-              f"{out[side]['_pair_modular']['calls']:.1f} _pair_modular calls per op", file=sys.stderr)
+              f"{out[side]['sigma_entry']['calls']:.1f} sigma entry calls per op", file=sys.stderr)
     return out
 
 
