@@ -238,8 +238,9 @@ print(json.dumps({"ms": statistics.median(times)}))
 # kernel (space._norms, or luxemburg_norm_dense where there is none), the
 # Newton loop (space._norm_rows, or _norm_block), the sigma entry
 # (space._sigmas, or _pair_modular where there is none) and the covering
-# and diameter tasks wrapped in every orlicz namespace that holds them, and parse_family handing the operation an M whose eval and deriv1
-# count; prints the work per operation.
+# and diameter tasks wrapped in every orlicz namespace that holds them, and
+# parse_family handing the operation an M whose eval and deriv1 count;
+# prints the work per operation.
 DIAGNOSE_COUNTS = r"""
 import collections, dataclasses, json, sys
 from pathlib import Path
