@@ -43,6 +43,8 @@ __all__ = [
 
 # Rows per chunk of the streamed sweep, which bounds its temporaries.
 _CHUNK_ROWS = 1 << 18
+# Near-minimizers whose tail norms the tail proxy takes, at most.
+_TAIL_ROWS = 10_000
 # Largest grid an oracle accepts, checked before anything is allocated;
 # criterion 07's grid has 201^3 = 8,120,601 points.
 _MAX_POINTS = 1 << 24
@@ -372,13 +374,12 @@ def _tail_proxy(
     lowest: float,
     level: float,
     head_len: int,
-    cap: int = 10000,
 ) -> float:
-    """Max tail norm over sampled near-minimizers among flat, whose totals are vals."""
+    """Max tail norm over the first _TAIL_ROWS near-minimizers among flat, whose totals are vals."""
     tail_cols = [j for j, idx in enumerate(oracle.indices) if idx > head_len]
     if not tail_cols:
         return 0.0
-    rows = flat[vals <= lowest + level][:cap]
+    rows = flat[vals <= lowest + level][:_TAIL_ROWS]
     block = oracle.rows_at(rows)[:, tail_cols]
     norms = luxemburg_norm_dense(M, block)
     return float(norms.max()) if norms.size else 0.0

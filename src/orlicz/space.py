@@ -222,8 +222,8 @@ def _norm_rows(
     (concatenated over the blocks), rho with sigma(a/rho) = level.
 
     Power families take the closed form.  Otherwise one Newton loop solves
-    every row: each pass is one M.eval and one M' or one more M.eval, over
-    the nonzero entries of every live row.
+    every row of the batch, packed once: each pass is one M.eval and one M'
+    or one more M.eval over the nonzero entries of every row.
     """
     if M.power is not None:
         if len(blocks) > 1:  # the closed form goes block by block
@@ -265,11 +265,11 @@ def _norm_rows(
     # Without M', the forward difference (sigma((1 + h) t) - sigma(t)) / h
     # takes the place of sum M'(t) t, with phi and slope both kept times h
     # so that the slope cannot overflow.  By convexity it is the larger, so
-    # q only shrinks and each of these steps holds.  q < 1 by convexity;
-    # should a wrong M' break that, the row takes the rho-form step too, and
-    # a slope or step that leaves (0, inf) raises.
-    out = np.empty_like(rho)
-    live = np.arange(len(rho))
+    # q only shrinks and each of these steps holds.  q < 1 by convexity; should
+    # a wrong M' break that, the row takes the rho-form step too, and a slope
+    # or step that leaves (0, inf) raises.  A done row takes q = 0 from then
+    # on: rho(1 + 0) keeps its rho bit for bit, so the packing never changes.
+    done = np.zeros(len(rho), dtype=bool)
     for _ in range(_NORM_MAX_ITER):
         t = entries / rho[row]
         sigma = _sums(M.eval(t), layout)
@@ -279,23 +279,15 @@ def _norm_rows(
             phi, slope = sigma - level, _sums(np.asarray(M.deriv1(t), dtype=float) * t, layout)
         if not 0.0 < slope.min() <= slope.max() < np.inf:
             raise OrliczError("the slope of sigma(x/rho) left (0, inf); check M")
-        q = phi / slope
+        q = np.where(done, 0.0, phi / slope)
         rest = 1.0 - q  # q (1 - q) > 0 just where 0 < q < 1
         rho = np.divide(rho, rest, out=rho * (1.0 + q), where=q * rest > 0.0)
         if not 0.0 < rho.min() <= rho.max() < np.inf:
             raise OrliczError("Newton step for the norm left (0, inf); check M")
-        # The step is q of the new rho, so this stops once it is within tol.
+        # The step is q of the new rho, so a row is done once it is within tol.
         done = q <= tol
-        finished = np.count_nonzero(done)
-        if finished == len(done):
-            out[live] = rho
-            return out
-        if finished:
-            out[live[done]] = rho[done]
-            keep = ~done
-            blocks = [a for a in (b[k] for b, k in zip(blocks, _split(keep, blocks))) if len(a)]
-            rho, live = rho[keep], live[keep]
-            entries, row, layout = _pack(blocks)
+        if np.count_nonzero(done) == len(done):
+            return rho
     raise OrliczError("Newton iteration for the norm did not converge")
 
 
@@ -332,14 +324,15 @@ def nu_bound(M: OrliczFunction, K: float) -> float:
     if K <= 0.0 or not math.isfinite(K):
         raise DomainError(f"radius K must be positive and finite, got {K}")
     C = _require_constant(M)
-    m = max(0, math.ceil(math.log2(K)))
-    while 2.0 ** m < K:  # guard against log2 rounding at dyadic K
-        m += 1
-    big = float(M.eval(2.0 ** m * M.t_bar))
-    small = float(M.eval(2.0 ** (-m) * M.t_bar))
+    m = max(0, math.frexp(math.nextafter(K, 0.0))[1])  # the least m >= 0 with 2^m >= K
+    small = float(M.eval(np.ldexp(M.t_bar, -m)))
     if small <= 0.0:
         raise OrliczError(f"M(2^-{m} t_bar) vanished; bound unavailable")
-    return C ** (-m) + big / small
+    with np.errstate(over="ignore"):  # a bound that overflows is refused below
+        bound = float(np.float64(C) ** -m + M.eval(np.ldexp(M.t_bar, m)) / small)
+    if bound == math.inf:
+        raise OrliczError(f"the majorant over the 2^{m}-ball overflowed; bound unavailable")
+    return bound
 
 
 def phi_bound(M: OrliczFunction, t: float) -> float:

@@ -41,6 +41,8 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 # diameter skip norm solves: a row whose norm ties the test's radius within
 # rounding still gets the exact solve.
 _PRUNE_MARGIN = 1e-9
+# Rows a diameter estimate compares pairwise, at most.
+_DIAMETER_ROWS = 200
 # Coordinates a witness may have.  Building one with its norm and modulars
 # peaks at about 230 bytes per coordinate under tracemalloc (19 MB at 81,937),
 # so the cap bounds it near 60 MB, the order of the 32 MiB sample cap.
@@ -167,9 +169,9 @@ def kuratowski_estimate(
     return _lockstep(M, [_cover(_dense_block(pts), np.arange(len(pts)), M, max_centers)])[0]
 
 
-def _diam_estimate(rows: np.ndarray, M: OrliczFunction, cap: int = 200) -> float:
-    """Largest pairwise distance among at most cap rows of the block."""
-    return _lockstep(M, _diameter_tasks(rows, [np.arange(len(rows))], M, cap))[0]
+def _diam_estimate(rows: np.ndarray, M: OrliczFunction) -> float:
+    """Largest pairwise distance among at most _DIAMETER_ROWS rows of the block."""
+    return _lockstep(M, _diameter_tasks(rows, [np.arange(len(rows))], M))[0]
 
 
 def _lockstep(M: OrliczFunction, tasks: list) -> list:
@@ -219,7 +221,7 @@ def _cover(rows: np.ndarray, idx, M: OrliczFunction, max_centers: int):
     return float(dist.max())
 
 
-def _diameter_tasks(block: np.ndarray, levels, M: OrliczFunction, cap: int = 200) -> list:
+def _diameter_tasks(block: np.ndarray, levels, M: OrliczFunction) -> list:
     """_lockstep tasks: _diam_estimate of the rows idx of the block, for each idx.
 
     Equal to the largest norm over all pairs, from few norm solves.  Given
@@ -230,10 +232,10 @@ def _diameter_tasks(block: np.ndarray, levels, M: OrliczFunction, cap: int = 200
     and only the pairs that survive both are solved.  The row norms feed
     only the bound, so the levels share one solve of them.
     """
-    # Over cap rows, evenly spaced, first and last kept: samplers append
-    # their special points (zero, witnesses) at the end.
-    levels = [idx if len(idx) <= cap else idx[np.rint(np.linspace(0, len(idx) - 1, cap)).astype(int)]
-              for idx in levels]
+    # Over _DIAMETER_ROWS rows, evenly spaced, first and last kept: samplers
+    # append their special points (zero, witnesses) at the end.
+    levels = [idx if len(idx) <= _DIAMETER_ROWS
+              else idx[np.rint(np.linspace(0, len(idx) - 1, _DIAMETER_ROWS)).astype(int)] for idx in levels]
     used = np.unique(np.concatenate(levels))
     row_norms = np.zeros(len(block))
     row_norms[used] = luxemburg_norm_dense(M, _trim(block, used)[used])

@@ -532,3 +532,22 @@ def test_runs_that_exit_0_are_silent_under_warnings_as_errors(capsys, monkeypatc
     assert (rc, err) == (0, "")
     if argv[0] == "norm" and argv in OVERFLOWING_RUNS:
         assert payload(out)["modular"] == math.inf
+
+
+# Runs whose nu_bound leaves the float range: C^-10 = 2^1100 on power:110.
+UNAVAILABLE_BOUND_RUNS = [
+    ["solve", "--family", "power:110", "--objective", "modular:1000",
+     "--grid-dims", "1", "--grid-step", "500", "--grid-radius", "1000"],
+    ["support", "--family", "power:110", "--objective", "ball-quad:1000",
+     "--grid-dims", "1", "--grid-step", "500", "--grid-radius", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", UNAVAILABLE_BOUND_RUNS, ids=shlex.join)
+def test_a_bound_that_overflows_fails_in_one_line(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "orlicz.cli", *argv], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("failed: ") and proc.stderr.endswith("bound unavailable\n")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

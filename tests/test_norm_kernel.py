@@ -7,7 +7,9 @@ plain scalar bisection that runs the bracket down to adjacent floats, the
 Newton step against the rho-form step it replaced, the forward-difference
 step against Newton on the same rows, and the list kernel, which packs the
 nonzero entries of several blocks into one loop, against the one-block loop
-it replaced.
+it replaced.  The list kernel packs a batch once, so a row that is done
+keeps stepping by 0 until the last row is: each row is checked against its
+own one-row solve.
 """
 
 import dataclasses
@@ -539,3 +541,37 @@ def test_list_kernel_batches_cut_across_blocks(path):
               enumerate(((700, 8), (1, 40), (900, 3), (1500, 54)))]
     for got, block in zip(space._norms(M, blocks, 2.0 ** -52), blocks):
         np.testing.assert_array_equal(got.view(np.int64), reference_dense(M, block).view(np.int64))
+
+
+# -- one packing per Newton loop -----------------------------------------------
+
+STAGGERED_PATHS = {"non-delta2": MN, "non-delta2/fd": dataclasses.replace(MN, deriv1=None)}
+
+
+def staggered_blocks():
+    """Two blocks, of widths 8 and 40, of rows with magnitudes 1e-4 to 1e2."""
+    blocks = [np.abs(item4_block(seed, 60, width)) for seed, width in ((11, 8), (12, 40))]
+    return [b[b.max(axis=1) > 0.0] for b in blocks]
+
+
+@pytest.mark.parametrize("level", (1.0, 0.3, 5.0))
+@pytest.mark.parametrize("path", STAGGERED_PATHS)
+def test_newton_loop_packs_once_and_each_row_is_its_own_solve(path, level, monkeypatch):
+    M = STAGGERED_PATHS[path]
+    blocks = staggered_blocks()
+    packs = []
+    pack = space._pack
+    monkeypatch.setattr(space, "_pack", lambda bs: packs.append(len(bs)) or pack(bs))
+    got = space._norm_rows(M, blocks, np.concatenate([b.max(axis=1) for b in blocks]), 2.0 ** -52, level)
+    assert packs == [2]
+    passes = []
+    counting = dataclasses.replace(M, eval=lambda t: passes.append(1) or M.eval(t))
+    alone, per_row = [], []
+    for a in (row[None, :] for b in blocks for row in b):
+        passes.clear()
+        alone.append(space._norm_rows(counting, [a], a.max(axis=1), 2.0 ** -52, level))
+        per_row.append(len(passes))
+    # The rows converge on different passes, so some are done for several
+    # passes before the loop ends.
+    assert max(per_row) >= min(per_row) + 2
+    np.testing.assert_array_equal(got.view(np.int64), np.concatenate(alone).view(np.int64))

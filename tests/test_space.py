@@ -8,6 +8,7 @@ import pytest
 from orlicz import (
     Delta2RequiredError,
     DomainError,
+    OrliczError,
     SparseSequence,
     luxemburg_norm,
     luxemburg_norm_dense,
@@ -154,6 +155,17 @@ def test_nu_bound_examples():
         nu_bound(M2, 0.0)
     with pytest.raises(Delta2RequiredError):
         nu_bound(MN, 1.0)
+
+
+@pytest.mark.parametrize("M, K", [(make_power(110), 1000.0), (M1, 1.7e308), (M2, 1.7e308)],
+                         ids=["C^-m overflows", "M(2^m t_bar) overflows", "2^m overflows"])
+def test_nu_bound_that_leaves_the_float_range_is_unavailable(M, K):
+    # power:110 has C = 2^-110, so C^-10 is past the float range; at
+    # K = 1.7e308, m = 1024 and 2^m itself is.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OrliczError, match="bound unavailable$"):
+            nu_bound(M, K)
 
 
 def test_nu_bound_majorizes_modular():

@@ -45,16 +45,13 @@ directory.  The record holds:
   per side, in PAIRS alternating base/change pairs, with the medians,
   quartiles and the pairs the change won;
 - the work of one perfbench diagnose operation on each side, averaged over
-  DIAGNOSE_OPS rounds of seed SEED0: dense norm kernel calls and rows per
-  call site (the chain of `orlicz` frames below `wpmc_diagnose`, as
-  `module.function:line`; the kernel is `space._norms`, or
-  `luxemburg_norm_dense` on a tree without it), Newton loops (calls of
-  `space._norm_rows`, or `_norm_block`), calls and pairs of the sigma entry
-  (`space._sigmas`, or `_pair_modular` on a tree without it), the norm rows
-  and sigma-test pairs of the covering and the diameter tasks (counted
-  where a task yields them or calls `_pair_modular` itself), and `M.eval`
-  and `deriv1` calls and elements, counted by wrapping the functions in
-  process;
+  DIAGNOSE_OPS rounds of seed SEED0: calls and rows of the dense norm
+  kernel `space._norms` per call site (the chain of `orlicz` frames below
+  `wpmc_diagnose`, as `module.function:line`), Newton loops (calls of
+  `space._norm_rows`), calls and pairs of the sigma entry `space._sigmas`,
+  calls of the packing `space._pack`, the norm rows and sigma-test pairs
+  the covering and the diameter tasks yield, and `M.eval` and `deriv1`
+  calls and elements, counted by wrapping the functions in process;
 - the grid points at which the rounds sum g_a + f, on each side: per
   perfbench grid operation (averaged over GRID_OPS operations of seed
   SEED0), per criterion 07 and 08 solve and per constant-objective solve,
@@ -235,12 +232,11 @@ print(json.dumps({"ms": statistics.median(times)}))
 """
 
 # argv[1] perfbench diagnose operations (seed argv[2]) with the dense norm
-# kernel (space._norms, or luxemburg_norm_dense where there is none), the
-# Newton loop (space._norm_rows, or _norm_block), the sigma entry
-# (space._sigmas, or _pair_modular where there is none) and the covering
-# and diameter tasks wrapped in every orlicz namespace that holds them, and
-# parse_family handing the operation an M whose eval and deriv1 count;
-# prints the work per operation.
+# kernel space._norms, the Newton loop space._norm_rows, the sigma entry
+# space._sigmas, the packing space._pack and the covering and diameter
+# tasks wrapped in every orlicz namespace that holds them, and parse_family
+# handing the operation an M whose eval and deriv1 count; prints the work
+# per operation.
 DIAGNOSE_COUNTS = r"""
 import collections, dataclasses, json, sys
 from pathlib import Path
@@ -252,9 +248,6 @@ import workloads
 ops, seed = int(sys.argv[1]), int(sys.argv[2])
 pkg = str(Path(orlicz.space.__file__).parent)
 space, wellposed = orlicz.space, orlicz.wellposed
-kernel_name = "_norms" if hasattr(space, "_norms") else "luxemburg_norm_dense"
-loop_name = "_norm_rows" if hasattr(space, "_norm_rows") else "_norm_block"
-sigma_name = "_sigmas" if hasattr(space, "_sigmas") else "_pair_modular"
 kernel = collections.defaultdict(collections.Counter)
 sigma = collections.Counter()
 work = collections.defaultdict(collections.Counter)
@@ -269,8 +262,8 @@ def site():
 
 
 def patch(name, wrapper):
-    # Replace the function in every orlicz module that holds it.
-    raw = getattr(space, name, None) or getattr(wellposed, name)
+    # Replace the space function in every orlicz module that holds it.
+    raw = getattr(space, name)
     new = wrapper(raw)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("orlicz") and getattr(mod, name, None) is raw:
@@ -278,30 +271,31 @@ def patch(name, wrapper):
 
 
 def counted_kernel(raw):
-    def call(M, rows, *args, **kwargs):
-        n = sum(len(b) for b in rows) if kernel_name == "_norms" else len(np.atleast_2d(rows))
-        kernel[site()].update(calls=1, rows=n)
-        return raw(M, rows, *args, **kwargs)
+    def call(M, blocks, *args, **kwargs):
+        kernel[site()].update(calls=1, rows=sum(len(b) for b in blocks))
+        return raw(M, blocks, *args, **kwargs)
     return call
 
 
 def counted_loop(raw):
     def call(M, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name != loop_name:  # not its own rescaled call
+        if sys._getframe(1).f_code.co_name != "_norm_rows":  # not its own rescaled call
             work["newton_loops"].update(calls=1)
         return raw(M, *args, **kwargs)
     return call
 
 
 def counted_pairs(raw):
-    def call(M, *args):
-        # _sigmas(M, tests) or _pair_modular(M, rows, ii, jj, rho)
-        pairs = sum(np.broadcast(*t[1:]).size for t in args[0]) if sigma_name == "_sigmas" else len(args[1])
-        sigma.update(calls=1, pairs=pairs)
-        caller = sys._getframe(1).f_code.co_name
-        if caller in ("_cover", "diameter"):  # a task that runs its own sigma tests
-            work[f"{caller} task"].update(sigma_pairs=pairs)
-        return raw(M, *args)
+    def call(M, tests):
+        sigma.update(calls=1, pairs=sum(np.broadcast(*t[1:]).size for t in tests))
+        return raw(M, tests)
+    return call
+
+
+def counted_packs(raw):
+    def call(blocks):
+        work["_pack"].update(calls=1)
+        return raw(blocks)
     return call
 
 
@@ -322,9 +316,10 @@ def counted_task(kind, task):
 cover, diameter_tasks = wellposed._cover, wellposed._diameter_tasks
 wellposed._cover = lambda *args: counted_task("_cover", cover(*args))
 wellposed._diameter_tasks = lambda *args: [counted_task("diameter", t) for t in diameter_tasks(*args)]
-patch(kernel_name, counted_kernel)
-patch(loop_name, counted_loop)
-patch(sigma_name, counted_pairs)
+patch("_norms", counted_kernel)
+patch("_norm_rows", counted_loop)
+patch("_sigmas", counted_pairs)
+patch("_pack", counted_packs)
 
 
 def counted(kind, fn):
@@ -349,12 +344,12 @@ for r in range(ops):
 per_op = lambda c: {k: v / ops for k, v in sorted(c.items())}
 print(json.dumps({
     "norm_kernel": {
-        "function": kernel_name,
+        "function": "_norms",
         "calls": sum(c["calls"] for c in kernel.values()) / ops,
         "rows": sum(c["rows"] for c in kernel.values()) / ops,
         "sites": {s: per_op(c) for s, c in sorted(kernel.items())},
     },
-    "sigma_entry": {"function": sigma_name, **per_op(sigma)},
+    "sigma_entry": {"function": "_sigmas", **per_op(sigma)},
     **{kind: per_op(c) for kind, c in sorted(work.items())},
 }))
 """
@@ -679,7 +674,8 @@ def _diagnose_counts(sides: dict[str, Path]) -> dict:
     for side, tree in sides.items():
         out[side] = _last_json([sys.executable, "-c", DIAGNOSE_COUNTS, str(DIAGNOSE_OPS), str(SEED0)], tree, _env())
         print(f"diagnose counts {side}: {out[side]['norm_kernel']['calls']:.1f} norm kernel calls, "
-              f"{out[side]['sigma_entry']['calls']:.1f} sigma entry calls per op", file=sys.stderr)
+              f"{out[side]['sigma_entry']['calls']:.1f} sigma entry calls, "
+              f"{out[side]['_pack']['calls']:.1f} _pack calls per op", file=sys.stderr)
     return out
 
 
