@@ -483,10 +483,16 @@ SUCCESSIVE_RUNS = [
 ]
 
 
-def test_successive_calls_in_one_process_match_fresh_processes(capsys):
+def _fresh_env():
+    """The environment of a fresh `python -m orlicz.cli` process on this package, without ORLICZ_SEED."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.pop("ORLICZ_SEED", None)
+    return env
+
+
+def test_successive_calls_in_one_process_match_fresh_processes(capsys):
+    env = _fresh_env()
     in_process = [run(capsys, argv) for argv in SUCCESSIVE_RUNS]
     for argv, (rc, out, err) in zip(SUCCESSIVE_RUNS, in_process):
         fresh = subprocess.run([sys.executable, "-m", "orlicz.cli", *argv], env=env, capture_output=True, text=True)
@@ -545,9 +551,7 @@ UNAVAILABLE_BOUND_RUNS = [
 
 @pytest.mark.parametrize("argv", UNAVAILABLE_BOUND_RUNS, ids=shlex.join)
 def test_a_bound_that_overflows_fails_in_one_line(argv):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "orlicz.cli", *argv], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "orlicz.cli", *argv], env=_fresh_env(), capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("failed: ") and proc.stderr.endswith("bound unavailable\n")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
