@@ -23,7 +23,7 @@ _HOMES = {
     "space": "modular modular_dense luxemburg_norm luxemburg_norm_dense project_head project_tail "
              "nu_bound phi_bound scale_to_modular",
     "weights": "PerturbationWeights g_eval g_eval_dense g_bounds",
-    "sampling": "BallSampler GridSampler dense_to_sequences",
+    "sampling": "BallSampler dense_to_sequences",
     "engine": "Objective GridOracle SolveReport SupportReport construct_local_perturbation "
               "perturb_minimize support_from_below supporting_functional",
     "objectives": "modular_objective squared_distance_objective shifted_ball_objective "

@@ -123,7 +123,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _emit_json(cfg: ExperimentConfig, payload: dict) -> None:
     payload = dict(payload)
-    payload["config"] = dataclasses.asdict(cfg)
+    payload["config"] = vars(cfg)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:

@@ -22,6 +22,7 @@ from .functions import OrliczFunction
 from .sequences import SparseSequence, to_jsonable
 from .space import (
     _require_constant,
+    _terms,
     luxemburg_norm,
     luxemburg_norm_dense,
     modular,
@@ -114,8 +115,9 @@ class GridOracle:
     accuracy request.  outer_sum() builds a separable sum such as f or
     sigma from one vector per axis, sum_at() its values at given points,
     and evaluate() streams the grid in flat-index chunks through a row
-    evaluator; none holds the whole
-    (points, d) array, which grid() builds only on request.
+    evaluator; none holds the whole (points, d) array, which grid() builds
+    only on request.  It is also the diagnostics' grid sampler:
+    dense_points() is the whole grid.
     """
 
     def __init__(self, indices: tuple[int, ...] = (1, 2, 3), step: float = 0.05, radius: float = 1.0):
@@ -147,6 +149,10 @@ class GridOracle:
         """The whole (points, d) grid, built on request."""
         return self.rows_at(np.arange(self.points))
 
+    def dense_points(self, M: Optional[OrliczFunction] = None, radius: Optional[float] = None) -> tuple:
+        """(rows, indices) of every grid point, as a sampler's draw; M and radius are unused."""
+        return self.grid(), self.indices
+
     def sequence_at(self, row: int) -> SparseSequence:
         return SparseSequence.from_pairs(zip(self.indices, self.axis[list(np.unravel_index(row, self._shape))]))
 
@@ -164,20 +170,19 @@ class GridOracle:
             out[start : start + _CHUNK_ROWS] = chunk(start)
         return out
 
-    def outer_sum(self, term: Callable, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """sum_j term(axis, i_j)[k_j] at every grid point, in flat order.
+    def outer_sum(self, parts: list[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
+        """sum_j parts[j][k_j] at every grid point, in flat order.
 
-        term maps the axis values and a coordinate index to one vector of
-        length 2n+1; the d vectors are outer-added in the grid's C order,
-        left to right.  numpy's row sum adds up to 7 columns in that order,
-        so a sum of the same terms matches it bit for bit below 8
-        coordinates; at 8 the row sum goes pairwise and the two may differ
-        in the last bits.  The sums go into out, one contiguous value per
-        grid point, or a new array: each row of the last axis gets that
-        axis's vector, then the outer sum of the other axes as a column
-        (x + y = y + x in IEEE arithmetic, so these are the same sums).
+        parts holds one float vector of length 2n+1 per coordinate; the d
+        vectors are outer-added in the grid's C order, left to right.
+        numpy's row sum adds up to 7 columns in that order, so a sum of the
+        same terms matches it bit for bit below 8 coordinates; at 8 the row
+        sum goes pairwise and the two may differ in the last bits.  The sums
+        go into out, one contiguous value per grid point, or a new array:
+        each row of the last axis gets that axis's vector, then the outer
+        sum of the other axes as a column (x + y = y + x in IEEE
+        arithmetic, so these are the same sums).
         """
-        parts = [np.asarray(term(self.axis, i), dtype=float) for i in self.indices]
         out = np.empty(self.points) if out is None else out
         rows = out.reshape(-1, len(self.axis))
         rows[:] = parts[-1]
@@ -305,8 +310,7 @@ def construct_local_perturbation(
     # The tail beyond N is terms[j:] for indices[j-1] <= N < indices[j], so
     # N is 0 or an index of x; terms[len:] sums to 0, which ends the scan.
     indices = x.indices()
-    with np.errstate(over="ignore"):  # as in modular: a term past the float range is inf
-        terms = np.asarray(M.eval(np.abs(np.array(x.values(), dtype=float))), dtype=float)
+    terms = _terms(M, np.array(x.values(), dtype=float))
     j = next(j for j in range(len(terms) + 1) if eps * terms[j:].sum() < tail_budget)
     N = indices[j - 1] if j else 0
     a = PerturbationWeights(head=(theta,) * N, tail=eps)
@@ -381,8 +385,7 @@ def _tail_proxy(
         return 0.0
     rows = flat[vals <= lowest + level][:_TAIL_ROWS]
     block = oracle.rows_at(rows)[:, tail_cols]
-    norms = luxemburg_norm_dense(M, block)
-    return float(norms.max()) if norms.size else 0.0
+    return float(luxemburg_norm_dense(M, block).max())
 
 
 def perturb_minimize(
@@ -419,8 +422,7 @@ def perturb_minimize(
     k_f = s * slabs.shape[1] + int(np.argmin(slabs[s]))
     if math.isnan(base[k_f]):
         raise OrliczError("objective returned NaN on the grid")
-    with np.errstate(over="ignore"):  # M(|axis|) = inf past the float range is right
-        m_axis = np.asarray(M.eval(np.abs(oracle.axis)), dtype=float)
+    m_axis = _terms(M, oracle.axis)
 
     def round_totals(weights: PerturbationWeights, refs: tuple[int, ...], level: float):
         # No weights: terms -0.0, so totals are f bit for bit (0 * inf is NaN).
@@ -503,11 +505,12 @@ def support_from_below(
     # row, which calls f inside the domain ball only.
     def shifted_grid(oracle: GridOracle) -> np.ndarray:
         base = _grid_values(f, oracle)
-        with np.errstate(over="ignore"):  # M(|axis|) = inf past the float range is right
-            m_scaled, m_axis = M.eval(np.abs(oracle.axis / radius_slack)), M.eval(np.abs(oracle.axis))
-        out = oracle.outer_sum(lambda axis, i: m_scaled)
+        with np.errstate(over="ignore"):  # for a tiny r, axis / r may pass the float range: inf
+            scaled = oracle.axis / radius_slack
+        d = len(oracle.indices)
+        out = oracle.outer_sum([_terms(M, scaled)] * d)
         outside = out > 1.0
-        oracle.outer_sum(lambda axis, i: m_axis, out)
+        oracle.outer_sum([_terms(M, oracle.axis)] * d, out)
         out *= eps_hi
         with np.errstate(invalid="ignore"):  # inf - inf happens outside the ball only
             np.subtract(base, out, out=out)

@@ -10,7 +10,7 @@ from .engine import GridOracle, Objective
 from .errors import DomainError
 from .functions import OrliczFunction
 from .sequences import SparseSequence, format_sequence, parse_sequence
-from .space import luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
+from .space import _terms, luxemburg_norm, luxemburg_norm_dense, modular, modular_dense
 
 __all__ = [
     "modular_objective",
@@ -26,7 +26,8 @@ def _norm_objective(
 ) -> Objective:
     """The Objective f(x) = from_norm(||x - center||), all evaluators from one formula.
 
-    from_norm maps an array of norms to f's values and may overwrite it.
+    from_norm maps an array of norms to f's values and may overwrite it; a
+    value past the float range is +inf, silently, in all three evaluators.
     eval_dense is from_norm of the dense norms of rows - center; eval is its
     one-row result, from_norm of the scalar norm of x - center, whose default
     tolerance is the dense kernel's.  For a power family, eval_grid outer-sums
@@ -43,23 +44,26 @@ def _norm_objective(
             )
         return np.array([center.value_at(i) for i in indices], dtype=float)
 
+    def phi(norms: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return from_norm(norms)
+
     def evaluate(x: SparseSequence) -> float:
         norm = luxemburg_norm(M, x - center)
-        return float(from_norm(np.array([norm]))[0])
+        return float(phi(np.array([norm]))[0])
 
     def dense(rows: np.ndarray, indices) -> np.ndarray:
-        return from_norm(luxemburg_norm_dense(M, rows - shift(indices)))
+        return phi(luxemburg_norm_dense(M, rows - shift(indices)))
 
     def eval_grid(oracle: GridOracle) -> np.ndarray:
-        diffs = {i: np.abs(oracle.axis - c) for i, c in zip(oracle.indices, shift(oracle.indices))}
-        with np.errstate(over="ignore"):
-            terms = {i: np.asarray(M.eval(d), dtype=float) for i, d in diffs.items()}
-        lost = any((terms[i][d > 0.0] < np.finfo(float).tiny).any() for i, d in diffs.items())
-        if lost or not math.isfinite(sum(float(t.max()) for t in terms.values())):
+        diffs = [oracle.axis - c for c in shift(oracle.indices)]
+        terms = [_terms(M, d) for d in diffs]
+        lost = any((t[d != 0.0] < np.finfo(float).tiny).any() for t, d in zip(terms, diffs))
+        if lost or not math.isfinite(sum(float(t.max()) for t in terms)):
             return oracle.evaluate(dense)
-        norms = oracle.outer_sum(lambda axis, i: terms[i])
+        norms = oracle.outer_sum(terms)
         norms **= 1.0 / M.power[0]
-        return from_norm(norms)
+        return phi(norms)
 
     return Objective(
         eval=evaluate,
@@ -76,8 +80,7 @@ def modular_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
         return modular_dense(M, rows)
 
     def eval_grid(oracle: GridOracle) -> np.ndarray:
-        with np.errstate(over="ignore"):  # M(|axis|) = inf past the float range is right
-            return oracle.outer_sum(lambda axis, i: M.eval(np.abs(axis)))
+        return oracle.outer_sum([_terms(M, oracle.axis)] * len(oracle.indices))
 
     return Objective(
         eval=lambda x: modular(M, x),
@@ -148,8 +151,7 @@ def inverse_bump_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
         np.subtract(1.0, rr, out=rr)
         np.divide(2.0, rr, out=rr)
         rr -= 2.0
-        with np.errstate(over="ignore"):
-            n[inside] = np.exp(rr, out=rr)
+        n[inside] = np.exp(rr, out=rr)
         n[~inside] = math.inf
         return n
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, OrliczError
 from .functions import OrliczFunction, estimate_delta2_constant
 from .sequences import SparseSequence, to_jsonable
-from .space import luxemburg_norm, luxemburg_norm_dense
+from .space import _terms, luxemburg_norm, luxemburg_norm_dense
 from .weights import PerturbationWeights
 
 __all__ = [
@@ -123,10 +123,9 @@ def probe_l1(
     # a_n (M(|x_n + t|) + M(|x_n - t|) - 2 M(|x_n|)), for every (t, n) at once.
     x = x_bar.to_dense(n_probe)
     t = np.array(scales)[:, None]
-    m_plus, m_minus, m_bar = (
-        np.asarray(M.eval(np.abs(y)), dtype=float) for y in (x + t, x - t, x)
-    )
-    num = (m_plus + m_minus - 2.0 * m_bar) * a.weights_for(tuple(range(1, n_probe + 1)))
+    m_plus, m_minus, m_bar = (_terms(M, y) for y in (x + t, x - t, x))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, inf - inf: refused on the next line
+        num = (m_plus + m_minus - 2.0 * m_bar) * a.weights_for(tuple(range(1, n_probe + 1)))
     if not np.isfinite(num).all():
         raise DomainError("probe left the effective domain of f")
     if (num < -1e-9).any():
@@ -169,13 +168,11 @@ def probe_p_growth(
     scales = []
     quotients = []
     j = 1
-    exhausted = False
     for k in range(1, k_max + 1):
         found = None
         while True:
             t = 2.0 ** (-j / refinement)
             if t < t_floor:
-                exhausted = True
                 break
             j += 1
             ratio = float(M.eval(t)) / t ** p
@@ -187,11 +184,7 @@ def probe_p_growth(
         scales.append(found)
         quotients.append(2.0 * float(M.eval(found)) / found ** p)
     confirmed = len(scales) == k_max
-    notes = "" if confirmed else (
-        f"scan exhausted at t_floor={t_floor:g} after {len(scales)} of {k_max} bounds"
-        if exhausted
-        else "scan stalled"
-    )
+    notes = "" if confirmed else f"scan exhausted at t_floor={t_floor:g} after {len(scales)} of {k_max} bounds"
     return ProbeReport(
         probe_name=f"growth-order-{p:g}",
         scales=tuple(scales),
@@ -245,7 +238,7 @@ def probe_second_derivative(
         probe_name=f"curvature-{x_bar_mode}",
         scales=tuple(kept),
         quotients=tuple(quotients),
-        threshold=2.0 * quotients[-2] if len(quotients) >= 2 else math.inf,
+        threshold=2.0 * quotients[-2],
         verdict=VERDICT_CONFIRMED if diverging else VERDICT_INCONCLUSIVE,
         notes="doubling across the last three scale gaps",
     )

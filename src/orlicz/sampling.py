@@ -3,7 +3,8 @@
 Each draw recreates its generator from the stored seed, so repeated calls
 return identical points and the sampler can be shared between diagnostics
 without order effects.  dense_points yields the dense block the diagnostics
-work on; points() is the same draw as sparse sequences.
+work on; points() is the same draw as sparse sequences.  The grid sampler
+is engine.GridOracle, whose dense_points is its whole grid.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import GridOracle
 from .errors import DomainError
 from .functions import OrliczFunction
 from .sequences import SparseSequence
 from .space import luxemburg_norm_dense
 
-__all__ = ["BallSampler", "GridSampler", "dense_to_sequences"]
+__all__ = ["BallSampler", "dense_to_sequences"]
 
 # Largest dense block a ball sampler builds, checked before anything is
 # allocated: 2^22 cells of 8 bytes are 32 MiB.
@@ -100,30 +100,4 @@ class BallSampler:
             f"support={self.support_size}, indices<={self.index_range}, "
             f"decades={self.decades:g}, zero={self.include_zero}, "
             f"extra={len(self.extra)})"
-        )
-
-
-@dataclass(frozen=True)
-class GridSampler:
-    """All points of a box grid over the leading coordinates: the grid of a
-    GridOracle, which validates the box and caps its point count."""
-
-    indices: tuple[int, ...] = (1, 2)
-    step: float = 0.1
-    radius: float = 1.0
-    oracle: GridOracle = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "oracle", GridOracle(self.indices, self.step, self.radius))
-
-    def dense_points(self, M: OrliczFunction, radius: float | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
-        return self.oracle.grid(), self.oracle.indices
-
-    def points(self, M: OrliczFunction, radius: float | None = None) -> list[SparseSequence]:
-        return dense_to_sequences(*self.dense_points(M, radius))
-
-    def describe(self) -> str:
-        return (
-            f"grid(indices={list(self.indices)}, step={self.step:g}, "
-            f"radius={self.radius:g})"
         )

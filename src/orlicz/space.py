@@ -60,13 +60,19 @@ def luxemburg_norm(
     return float(_norm_rows(M, [absvals], absvals.max(axis=1), tol)[0])
 
 
+def _terms(M: OrliczFunction, values) -> np.ndarray:
+    """M(|values|) as a float array; a term past the float range is +inf, silently."""
+    with np.errstate(over="ignore"):
+        return np.asarray(M.eval(np.abs(values)), dtype=float)
+
+
 def modular_dense(M: OrliczFunction, rows: np.ndarray) -> np.ndarray:
     """Row-wise modular of a dense (n, d) block; a term or sum that overflows is +inf."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows[None, :]
-    with np.errstate(over="ignore"):
-        return np.asarray(M.eval(np.abs(rows)), dtype=float).sum(axis=1)
+    with np.errstate(over="ignore"):  # finite terms may sum past the float range
+        return _terms(M, rows).sum(axis=1)
 
 
 def luxemburg_norm_dense(

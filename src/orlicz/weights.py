@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .functions import OrliczFunction
 from .sequences import SparseSequence, to_jsonable
-from .space import nu_bound
+from .space import _terms, nu_bound
 
 __all__ = ["PerturbationWeights", "g_eval", "g_eval_dense", "g_bounds"]
 
@@ -113,7 +113,7 @@ def g_eval_dense(
     if rows.ndim == 1:
         rows = rows[None, :]
     w = a.weights_for(indices)
-    return np.asarray(M.eval(np.abs(rows)), dtype=float) @ w
+    return _terms(M, rows) @ w
 
 
 def g_bounds(M: OrliczFunction, a: PerturbationWeights, K: float) -> tuple[float, float]:

@@ -12,7 +12,6 @@ import pytest
 
 from orlicz import (
     GridOracle,
-    GridSampler,
     Objective,
     PerturbationWeights,
     SparseSequence,
@@ -206,7 +205,7 @@ def test_criterion_09_intersection_lemma():
 
     M = make_power(2.0)
     rng = np.random.default_rng(909)
-    sampler = GridSampler((1, 2), step=0.1, radius=1.0)
+    sampler = GridOracle((1, 2), step=0.1, radius=1.0)
     nonempty = 0
     for _ in range(1000):
         chk = intersection_lemma_check(

@@ -505,14 +505,23 @@ def _readme_invocations():
     return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("orlicz ")]
 
 
-# Runs that overflow M or the modular on purpose: the payload carries +inf,
-# and the run still succeeds.
+# Runs that overflow M, the modular or f on purpose: a norm payload carries
+# +inf, and the run still succeeds.
 OVERFLOWING_RUNS = [
     ["norm", "--family", "power:110", "--sequence", "1:1e10"],
     ["norm", "--family", "power:2", "--sequence", "1:1e154,2:1e154"],
     ["norm", "--family", "power:1:1e300", "--sequence", "1:1e10"],
     ["wellposed", "--family", "power:110", "--samples", "20", "--radius", "1e10"],
     ["wellposed", "--family", "power:3", "--samples", "20", "--radius", "1e300"],
+    # f = ||x||^2 past the float range at the grid's ends, and x / r past it for a tiny r
+    ["solve", "--family", "power:2", "--objective", "ball-quad", "--grid-dims", "1",
+     "--grid-step", "1e200", "--grid-radius", "1e200"],
+    ["solve", "--family", "power:2", "--objective", "sqdist:1:0.5", "--grid-dims", "1",
+     "--grid-step", "1e200", "--grid-radius", "1e200"],
+    ["support", "--family", "power:2", "--objective", "ball-quad:1e-5", "--grid-dims", "1",
+     "--grid-step", "1e305", "--grid-radius", "1e305"],
+    ["support", "--family", "power:2", "--objective", "ball-quad:1e-300", "--grid-dims", "1",
+     "--grid-step", "1e10", "--grid-radius", "1e10"],
 ]
 SILENT_RUNS = [
     *_readme_invocations(),
@@ -555,3 +564,22 @@ def test_a_bound_that_overflows_fails_in_one_line(argv):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("failed: ") and proc.stderr.endswith("bound unavailable\n")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+# Runs whose values pass the float range and then fail: the message is the
+# only line, with no numpy warning ahead of it.
+FAILING_OVERFLOW_RUNS = [
+    (["probe", "--family", "power:110", "--probe", "l1", "--sequence", "1:1e3", "--scales", "1e3"],
+     2, "error: probe left the effective domain of f\n"),
+    (["probe", "--family", "power:2", "--probe", "l1", "--sequence", "1:1.3e154", "--scales", "1e-2"],
+     2, "error: probe left the effective domain of f\n"),
+    (["solve", "--family", "power:3", "--objective", "sqdist:1:1e200", "--grid-dims", "1", "--grid-step", "0.5"],
+     1, "failed: objective is +inf on the whole grid\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", FAILING_OVERFLOW_RUNS,
+                         ids=[shlex.join(argv) for argv, _, _ in FAILING_OVERFLOW_RUNS])
+def test_a_value_past_the_float_range_fails_in_one_line(argv, code, message):
+    proc = subprocess.run([sys.executable, "-m", "orlicz.cli", *argv], env=_fresh_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)

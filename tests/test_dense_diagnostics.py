@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 import orlicz.wellposed as wellposed
 from orlicz import (
     BallSampler,
-    GridSampler,
+    GridOracle,
     Objective,
     SparseSequence,
+    dense_to_sequences,
     intersection_lemma_check,
     kuratowski_estimate,
     luxemburg_norm_dense,
@@ -232,17 +233,17 @@ def test_diameter_subsample_is_cut_to_its_own_width():
 
 
 def test_scalar_only_objective_on_a_grid_sampler_with_gaps():
-    # A GridSampler on coordinates (1, 3): the block holds coordinate 2 as a
+    # A grid sampler on coordinates (1, 3): the block holds coordinate 2 as a
     # zero column, and the scalar objective sees the same sequences as before.
     M = make_power(2.0)
-    sampler = GridSampler(indices=(1, 3), step=0.25, radius=1.0)
+    sampler = GridOracle(indices=(1, 3), step=0.25, radius=1.0)
     f = Objective(
         eval=lambda x: (x.value_at(1) - 0.5) ** 2 + x.value_at(3) ** 2,
         domain_radius=1.0, lower_bound=0.0,
     )
     axis = np.arange(-4, 5) * 0.25
     pts = [SparseSequence.from_pairs([(1, a), (3, b)]) for a in axis for b in axis]
-    assert sampler.points(M) == pts
+    assert dense_to_sequences(*sampler.dense_points(M)) == pts
     values = [f.eval(p) for p in pts]
     assert sublevel_sample(M, f, 1.0, 0.1, sampler) == ref_sublevel(pts, values, 0.1, sampler)
     assert wpmc_diagnose(M, f, 1.0, LEVELS, sampler) == ref_wpmc(M, pts, values, LEVELS, sampler)

@@ -18,7 +18,7 @@ SparseSequence parse_sequence format_sequence
 modular modular_dense luxemburg_norm luxemburg_norm_dense project_head project_tail nu_bound phi_bound
 scale_to_modular
 PerturbationWeights g_eval g_eval_dense g_bounds
-BallSampler GridSampler dense_to_sequences
+BallSampler dense_to_sequences
 Objective GridOracle SolveReport SupportReport construct_local_perturbation perturb_minimize
 support_from_below supporting_functional
 modular_objective squared_distance_objective shifted_ball_objective inverse_bump_objective parse_objective
@@ -46,10 +46,11 @@ def test_the_cli_imports_only_what_the_command_runs():
     assert _loaded_after(run_norm) == {"orlicz", "orlicz.cli", "orlicz.errors"} | core
     assert not {f"orlicz.{m}" for m in SOLVER_MODULES} & _loaded_after("import orlicz")
     assert "orlicz.probes" in _loaded_after("import orlicz; orlicz.probes.classify_space")
+    assert "orlicz.engine" not in _loaded_after("import orlicz.sampling")
 
 
 def test_public_names_are_their_home_modules_attributes():
-    assert len(PUBLIC) == 60
+    assert len(PUBLIC) == 59
     assert sorted(orlicz.__all__) == sorted(PUBLIC)
     listed = dir(orlicz)
     for name in PUBLIC:

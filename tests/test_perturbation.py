@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,15 @@ def test_g_dense_matches_scalar():
         )
         assert got == pytest.approx(g_eval(M2, a, x), rel=1e-12)
     assert g_eval_dense(M2, a, np.array([0.3, 0.0, 0.0]), indices).shape == (1,)
+
+
+def test_g_past_the_float_range_is_inf_silently():
+    # 1000^110 overflows: g_a reads +inf, as the modular does, and warns of nothing.
+    M = make_power(110.0)
+    x = SparseSequence.from_pairs([(1, 1e3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g_eval(M, PerturbationWeights(tail=1.0), x) == modular(M, x) == math.inf
 
 
 def test_g_bounds_hold_on_samples():

@@ -6,7 +6,7 @@ import pytest
 from orlicz import (
     BallSampler,
     DomainError,
-    GridSampler,
+    GridOracle,
     SparseSequence,
     dense_to_sequences,
     luxemburg_norm,
@@ -64,8 +64,8 @@ def test_ball_sampler_validation():
 
 
 def test_grid_sampler_enumerates_box():
-    g = GridSampler(indices=(1, 3), step=0.5, radius=1.0)
-    pts = g.points(M2)
+    g = GridOracle(indices=(1, 3), step=0.5, radius=1.0)
+    pts = dense_to_sequences(*g.dense_points(M2))
     assert len(pts) == 25  # 5 x 5 axis values
     assert SparseSequence() in pts
     assert SparseSequence.from_pairs([(1, -1.0), (3, 0.5)]) in pts
@@ -77,9 +77,9 @@ def test_grid_sampler_enumerates_box():
 
 def test_grid_sampler_validation():
     with pytest.raises(DomainError):
-        GridSampler(step=0.0)
+        GridOracle(step=0.0)
     with pytest.raises(DomainError):
-        GridSampler(indices=())
+        GridOracle(indices=())
 
 
 def test_ball_sampler_refuses_oversized_blocks_before_allocating():
@@ -106,10 +106,10 @@ def test_grid_sampler_refuses_oversized_grids_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="exceeds the cap"):
-            GridSampler(tuple(range(1, 9)), step=0.01)  # 201^8 points
+            GridOracle(tuple(range(1, 9)), step=0.01)  # 201^8 points
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     with pytest.raises(DomainError):
-        GridSampler(step=2.0, radius=1.0)  # step above the radius
+        GridOracle(step=2.0, radius=1.0)  # step above the radius

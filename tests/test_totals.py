@@ -371,9 +371,9 @@ def test_outer_sum_into_a_buffer_equals_a_new_array(dims):
     a = PerturbationWeights(head=(0.3, 0.1), tail=0.7)
     want = fresh_outer_sum(oracle, lambda axis, i: a.weight_at(i) * M.eval(np.abs(axis)))
     buf = np.full(oracle.points, math.nan)
-    assert oracle.outer_sum(lambda axis, i: a.weight_at(i) * M.eval(np.abs(axis)), buf) is buf
-    np.testing.assert_array_equal(buf, want)
     parts = [a.weight_at(i) * M.eval(np.abs(oracle.axis)) for i in oracle.indices]
+    assert oracle.outer_sum(parts, buf) is buf
+    np.testing.assert_array_equal(buf, want)
     np.testing.assert_array_equal(oracle.sum_at(parts, np.arange(oracle.points)), want)
 
 
@@ -395,7 +395,7 @@ def test_outer_sum_equals_the_reduced_outer_add_with_special_terms(dims):
     parts = [term(oracle.axis, i) for i in oracle.indices]
     with np.errstate(invalid="ignore"):  # inf + -inf
         want = functools.reduce(np.add.outer, parts).ravel()
-        got = oracle.outer_sum(lambda axis, i: parts[oracle.indices.index(i)])
+        got = oracle.outer_sum(parts)
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     keep = ~np.isnan(want)
     np.testing.assert_array_equal(got[keep].view(np.int64), want[keep].view(np.int64))

@@ -145,7 +145,8 @@ THREAD_VARS = (
 CRITERION = r"""
 import dataclasses, json, resource, sys, time
 import numpy as np
-from orlicz import (GridOracle, GridSampler, Objective, SparseSequence, intersection_lemma_check,
+import orlicz
+from orlicz import (GridOracle, Objective, SparseSequence, intersection_lemma_check,
                     make_power, perturb_minimize, support_from_below)
 from orlicz.objectives import shifted_ball_objective, squared_distance_objective
 
@@ -188,7 +189,9 @@ elif case == "constant":
     report = solve_report(rep, rep.min_value, rep)
 elif case == "09":
     rng = np.random.default_rng(909)
-    sampler = GridSampler((1, 2), step=0.1, radius=1.0)
+    # The grid sampler is GridOracle where it has dense_points, else GridSampler.
+    grid_sampler = GridOracle if hasattr(GridOracle, "dense_points") else orlicz.GridSampler
+    sampler = grid_sampler((1, 2), step=0.1, radius=1.0)
     checks = [
         intersection_lemma_check(M, quadratic(rng), quadratic(rng), K=1.0,
                                  delta=float(rng.uniform(0.02, 0.25)), sampler=sampler)
