@@ -66,20 +66,23 @@ class Objective:
     dense (n, d) block whose columns live on the given coordinate indices.
     eval_grid, when provided, maps a GridOracle to f's values at all of its
     points in flat order, typically from per-axis vectors through
-    GridOracle.outer_sum.  Both are called on whole grids, points outside
-    the domain ball included, and must give a float or +inf at each.  The
-    engine evaluates f over its grid once per solve: through eval_grid when
-    present, else through eval_dense in streamed chunks, else through eval
-    row by row over each chunk's sparse sequences, as the diagnostics do, on
-    grids of at most 100,000 points.  Each built-in objective but the
-    modular is f = from_norm(||x - c||) with one from_norm behind all three
-    evaluators, and every built-in eval is the one-row result of its
-    eval_dense, bit for bit on rows of up to 7 columns; from 8 on numpy's
-    row sum goes pairwise, so a row's value may differ in the last bits from
-    its sparse sequence's.  lower_bound is a witness that the objective is
-    bounded below; probe_points witness properness.  coercive is a caller
-    assertion (the engine treats the objective as non-coercive unless told
-    otherwise).
+    GridOracle.separable.  Both are called on whole grids, points outside
+    the domain ball included, and must give a float or +inf at each.  A
+    solve builds f over its grid through eval_grid when present, else
+    through eval_dense in streamed chunks, else through eval row by row over
+    each chunk's sparse sequences, as the diagnostics do, on grids of at
+    most 100,000 points.  The built-ins' eval_grid is a separable form,
+    f = finish(sum_j t_j(x_j)) with finish non-decreasing: from it a solve
+    builds f only on the leading-axis slabs whose lower bound it cannot rule
+    out, and the support builds its shifted objective in one pass.  Each
+    built-in objective but the modular is f = from_norm(||x - c||) with one
+    from_norm behind all three evaluators, and every built-in eval is the
+    one-row result of its eval_dense, bit for bit on rows of up to 7
+    columns; from 8 on numpy's row sum goes pairwise, so a row's value may
+    differ in the last bits from its sparse sequence's.  lower_bound is a
+    witness that the objective is bounded below; probe_points witness
+    properness.  coercive is a caller assertion (the engine treats the
+    objective as non-coercive unless told otherwise).
     """
 
     eval: Callable[[SparseSequence], float]
@@ -112,12 +115,13 @@ class GridOracle:
     The grid is the product of one axis of 2n+1 values per coordinate,
     flattened in C order (meshgrid "ij"), so flat index k maps to a row
     through np.unravel_index.  Exact on its own grid, so it meets any
-    accuracy request.  outer_sum() builds a separable sum such as f or
-    sigma from one vector per axis, sum_at() its values at given points,
-    and evaluate() streams the grid in flat-index chunks through a row
-    evaluator; none holds the whole (points, d) array, which grid() builds
-    only on request.  It is also the diagnostics' grid sampler:
-    dense_points() is the whole grid.
+    accuracy request.  separable() builds a pointwise function of separable
+    sums such as f or sigma from one vector per axis, outer_sum() one such
+    sum, sum_at() its values at given points, and evaluate() streams the
+    grid in flat-index chunks through a row evaluator; none holds the whole
+    (points, d) array, which grid() builds only on request.  It is also the
+    diagnostics' grid sampler: dense_points() is the whole grid, up to
+    BallSampler's cap of 2^22 cells.
     """
 
     def __init__(self, indices: tuple[int, ...] = (1, 2, 3), step: float = 0.05, radius: float = 1.0):
@@ -150,7 +154,18 @@ class GridOracle:
         return self.rows_at(np.arange(self.points))
 
     def dense_points(self, M: Optional[OrliczFunction] = None, radius: Optional[float] = None) -> tuple:
-        """(rows, indices) of every grid point, as a sampler's draw; M and radius are unused."""
+        """(rows, indices) of every grid point, as a sampler's draw; M and radius are unused.
+
+        A draw of more cells than BallSampler's cap is refused before anything is allocated.
+        """
+        from .sampling import _MAX_CELLS
+
+        cells = self.points * len(self.indices)
+        if cells > _MAX_CELLS:
+            raise DomainError(
+                f"grid sample of {self.points:,} points x {len(self.indices)} coordinates exceeds "
+                f"the cap of {_MAX_CELLS:,} cells; raise the step or use fewer coordinates"
+            )
         return self.grid(), self.indices
 
     def sequence_at(self, row: int) -> SparseSequence:
@@ -170,25 +185,16 @@ class GridOracle:
             out[start : start + _CHUNK_ROWS] = chunk(start)
         return out
 
-    def outer_sum(self, parts: list[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
-        """sum_j parts[j][k_j] at every grid point, in flat order.
+    def outer_sum(self, parts: list[np.ndarray]) -> np.ndarray:
+        """sum_j parts[j][k_j] at every grid point, in flat order, in a new array.
 
         parts holds one float vector of length 2n+1 per coordinate; the d
         vectors are outer-added in the grid's C order, left to right.
         numpy's row sum adds up to 7 columns in that order, so a sum of the
         same terms matches it bit for bit below 8 coordinates; at 8 the row
-        sum goes pairwise and the two may differ in the last bits.  The sums
-        go into out, one contiguous value per grid point, or a new array:
-        each row of the last axis gets that axis's vector, then the outer
-        sum of the other axes as a column (x + y = y + x in IEEE
-        arithmetic, so these are the same sums).
+        sum goes pairwise and the two may differ in the last bits.
         """
-        out = np.empty(self.points) if out is None else out
-        rows = out.reshape(-1, len(self.axis))
-        rows[:] = parts[-1]
-        if len(parts) > 1:
-            rows += functools.reduce(np.add.outer, parts[:-1]).reshape(-1, 1)
-        return out
+        return _outer_sum(parts)
 
     def sum_at(self, parts: list[np.ndarray], flat: np.ndarray) -> np.ndarray:
         """outer_sum's sums of one vector per axis at the flat indices only, bit for bit."""
@@ -198,11 +204,97 @@ class GridOracle:
             out += part[k]
         return out
 
+    def separable(
+        self, groups: list[list[np.ndarray]], pointwise: Callable, values: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """pointwise of one outer sum per group at every grid point, in flat order.
+
+        groups holds one list of per-axis vectors per sum, each summed as
+        outer_sum sums it; groups equal bit for bit share one sum array, so
+        pointwise may get one array twice and must read every argument
+        before it overwrites one.  With values, one float per grid point in
+        flat order, pointwise gets the values of the same points first and
+        must leave them as they are.  pointwise maps equal-length arrays to
+        the values at those points, elementwise, and may return one of its
+        sum arrays.  The sums go in chunks of whole leading-axis slabs of at
+        most _CHUNK_ROWS points (one slab if larger).  Without values, an
+        axis on which every group's vector is a bitwise palindrome folds:
+        only its first n+1 entries are summed, and the mirror entries copied,
+        which are exact, as they sum the same operands in the same order.
+        """
+        d, n = len(self.indices), len(self.axis) // 2
+        folded = [] if values is not None else [a for a in range(d) if all(_palindrome(g[a]) for g in groups)]
+        keep = tuple(slice(0, n + 1) if a in folded else slice(None) for a in range(d))
+        keys = [tuple(v.tobytes() for v in g) for g in groups]
+        parts = {key: [v[k] for v, k in zip(g, keep)] for key, g in zip(keys, groups)}
+        out = np.empty(self._shape)
+        block = out[keep]
+        per_slab = block.size // len(block)
+        step = max(1, _CHUNK_ROWS // per_slab)
+        for s in range(0, len(block), step):
+            sums = {key: _outer_sum([p[0][s : s + step], *p[1:]]) for key, p in parts.items()}
+            args = [sums[key] for key in keys]
+            if values is not None:
+                args.insert(0, values[s * per_slab : (s + step) * per_slab])
+            chunk = block[s : s + step]
+            chunk[...] = pointwise(*args).reshape(chunk.shape)
+        # Last folded axis first: each mirror copies a region that is complete.
+        for a in reversed(folded):
+            head = tuple(slice(0, n + 1) if b in folded else slice(None) for b in range(a))
+            out[(*head, slice(n + 1, None))] = out[(*head, slice(n - 1, None, -1))]
+        return out.reshape(-1)
+
     def describe(self) -> str:
         return (
             f"grid(indices={list(self.indices)}, step={self.step:g}, "
             f"radius={self.radius:g}, points={self.points})"
         )
+
+
+def _outer_sum(parts: list[np.ndarray]) -> np.ndarray:
+    """sum_j parts[j][k_j] at every index tuple of the vectors, in C order, in a new array.
+
+    Each row of the last vector gets that vector, plus the outer sum of the
+    others as a column (x + y = y + x in IEEE arithmetic), so every sum adds
+    its terms left to right, as GridOracle.sum_at does.
+    """
+    out = np.empty((math.prod(len(p) for p in parts[:-1]), len(parts[-1])))
+    out[:] = parts[-1]
+    if len(parts) > 1:
+        out += functools.reduce(np.add.outer, parts[:-1]).reshape(-1, 1)
+    return out.reshape(-1)
+
+
+def _palindrome(v: np.ndarray) -> bool:
+    return v.tobytes() == v[::-1].tobytes()
+
+
+class _SeparableGrid:
+    """A built-in's grid evaluator, from its separable form.
+
+    form(oracle) is (terms, finish): one vector of terms per coordinate, and
+    finish, which maps an array of summed terms to f's values in place,
+    non-decreasing.  It is None where the plain sums would lose f's values;
+    then the grid goes through the dense evaluator in streamed chunks.
+    Called on an oracle, it is f over the whole grid, from one
+    GridOracle.separable pass; the solve and the support read form itself.
+    """
+
+    def __init__(self, form: Callable, dense: Callable):
+        self.form = form
+        self.dense = dense
+
+    def __call__(self, oracle: GridOracle) -> np.ndarray:
+        form = self.form(oracle)
+        if form is None:
+            return oracle.evaluate(self.dense)
+        terms, finish = form
+        return oracle.separable([terms], finish)
+
+
+def _form(f: Objective, oracle: GridOracle):
+    """f's separable form on the oracle's grid, or None for an objective without one."""
+    return f.eval_grid.form(oracle) if isinstance(f.eval_grid, _SeparableGrid) else None
 
 
 def _checked(vals, n: int, kind: str) -> np.ndarray:
@@ -214,8 +306,16 @@ def _checked(vals, n: int, kind: str) -> np.ndarray:
 
 
 def _eval_each(f: Objective, seqs) -> np.ndarray:
-    """f.eval at each sparse sequence of an iterable, as a float array."""
-    return np.fromiter((float(f.eval(x)) for x in seqs), dtype=float)
+    """f.eval at each sparse sequence of an iterable, as a float array.
+
+    A built-in eval that silences overflow on each call carries its body as
+    eval.unguarded; the loop runs that body under one errstate instead.
+    """
+    each = getattr(f.eval, "unguarded", None)
+    if each is None:
+        return np.fromiter((float(f.eval(x)) for x in seqs), dtype=float)
+    with np.errstate(over="ignore"):
+        return np.fromiter((each(x) for x in seqs), dtype=float)
 
 
 def _grid_values(f: Objective, oracle: GridOracle) -> np.ndarray:
@@ -317,47 +417,117 @@ def construct_local_perturbation(
     return a, delta
 
 
+class _Slabs:
+    """f's values over a grid, held for one window [lo, hi) of leading-axis slabs.
+
+    floor[s] is the least value of f over slab s once the window covers s,
+    and a lower bound of it before.  From a whole-grid array the window is
+    the whole grid.  From a separable form (terms, finish) it starts empty,
+    and floor[s] is finish(t_0[s] + sum_{j>0} min t_j), the least sum of
+    slab s finished, less a relative margin of 1e-9 (pow and exp are not
+    guaranteed monotone to the last ulp), +inf kept; cover() builds slabs
+    from the same sums in the same order as the whole grid's, so every value
+    is the whole-array path's bit for bit.
+    """
+
+    def __init__(self, oracle: GridOracle, values: Optional[np.ndarray] = None, form=None):
+        side = len(oracle.axis)
+        self.size = oracle.points // side
+        self.form = form
+        if form is None:
+            self.vals, self.lo, self.hi = values, 0, side
+            self.floor = values.reshape(side, -1).min(axis=1)
+            return
+        terms, finish = form
+        least = terms[0].copy()
+        for t in terms[1:]:
+            least += t.min()
+        floor = finish(least)
+        finite = np.isfinite(floor)
+        floor[finite] -= 1e-9 * (1.0 + np.abs(floor[finite]))
+        self.floor = floor
+        self.vals, self.lo, self.hi = np.empty(0), 0, 0
+
+    def cover(self, a: int, b: int) -> bool:
+        """Widen the window over slabs [a, b), rebuilt in one batch; whether it widened."""
+        if self.lo <= a and b <= self.hi:
+            return False
+        if self.lo < self.hi:
+            a, b = min(a, self.lo), max(b, self.hi)
+        terms, finish = self.form
+        self.vals = finish(_outer_sum([terms[0][a:b], *terms[1:]]))
+        self.floor[a:b] = self.vals.reshape(b - a, -1).min(axis=1)
+        self.lo, self.hi = a, b
+        return True
+
+    def span(self, a: int, b: int) -> np.ndarray:
+        """f over slabs [a, b) of the window, in flat order."""
+        return self.vals[(a - self.lo) * self.size : (b - self.lo) * self.size]
+
+    def at(self, flat: np.ndarray) -> np.ndarray:
+        """f at flat indices inside the window."""
+        return self.vals[flat - self.lo * self.size if self.lo else flat]
+
+
+def _slabs(f: Objective, oracle: GridOracle) -> _Slabs:
+    """f's slabs: built on demand from f's separable form, else the whole grid at once.
+
+    A NaN term takes the whole-array path, which reports it.
+    """
+    form = _form(f, oracle)
+    if form is not None and not any(np.isnan(t).any() for t in form[0]):
+        return _Slabs(oracle, form=form)
+    return _Slabs(oracle, _grid_values(f, oracle))
+
+
 def _total_values(
     f: Objective,
     oracle: GridOracle,
     parts: list[np.ndarray],
-    base: np.ndarray,
-    slab_min: np.ndarray,
+    slabs: _Slabs,
     refs: tuple[int, ...],
     level: float,
 ) -> tuple[int, float, np.ndarray, np.ndarray]:
     """The flat argmin of f + g_a, the lowest total, and the flat indices (in
     flat order) and totals of points that hold every total <= lowest + level.
 
-    parts are g_a's per-axis terms, base f's values (no NaN).  As g_a >= 0
+    parts are g_a's per-axis terms, slabs f's values (no NaN).  As g_a >= 0
     and rounding is monotone, no total is below f at its point, nor, in
     leading-axis slab s, below the bound ((parts[0][s] + min parts[1]) + ...)
-    + slab_min[s].  The least total at refs and at the lowest-bound point is
-    >= lowest, so g_a + f is summed only from the first to the last slab
-    whose bound is <= it + level, where f is <= it + level too: the argmin
-    (first flat index on ties), the totals and the checks (a NaN total, +inf
-    everywhere, a total below f's lower bound) are the whole grid's.
+    + slabs.floor[s].  The least total at refs and at the lowest-bound point
+    of the window is >= lowest, so g_a + f is summed only from the first to
+    the last slab whose bound is <= it + level, where f is <= it + level
+    too.  Slabs there that the window lacks are built first, which raises
+    their floors to their minima; the range is then taken again, and is
+    the one the whole grid's slab minima give.  The argmin (first flat index
+    on ties), the totals and the checks (a NaN total, +inf everywhere, a
+    total below f's lower bound) are the whole grid's.
     """
 
     def totals(flat: np.ndarray) -> np.ndarray:
         vals = oracle.sum_at(parts, flat)
-        vals += base[flat]
+        vals += slabs.at(flat)
         return vals
 
-    bound = parts[0]
-    for part in parts[1:]:
-        bound = bound + part.min()
-    bound = bound + slab_min
-    corner = (int(np.argmin(bound)), *(int(np.argmin(part)) for part in parts[1:]))
+    def bounds() -> np.ndarray:
+        bound = parts[0]
+        for part in parts[1:]:
+            bound = bound + part.min()
+        return bound + slabs.floor
+
+    bound = bounds()
+    s = slabs.lo + int(np.argmin(bound[slabs.lo : slabs.hi]))
+    corner = (s, *(int(np.argmin(part)) for part in parts[1:]))
     reference = float(totals(np.array([*refs, np.ravel_multi_index(corner, oracle._shape)])).min())
     # A NaN bound is a NaN term, or +inf terms over a slab where f is -inf.
     if math.isnan(reference) or np.isnan(bound).any():
         raise OrliczError("objective returned NaN on the grid")
     cut = reference + level
-    slabs = np.flatnonzero(bound <= cut)  # never empty: it holds the reference point's slab
-    slab_points = oracle.points // len(oracle.axis)
-    lo, hi = slabs[0] * slab_points, (slabs[-1] + 1) * slab_points
-    flat = lo + np.flatnonzero(base[lo:hi] <= cut)
+    near = np.flatnonzero(bound <= cut)  # never empty: it holds the reference point's slab
+    if slabs.cover(near[0], near[-1] + 1):
+        near = np.flatnonzero(bounds() <= cut)
+    lo, hi = near[0], near[-1] + 1
+    flat = lo * slabs.size + np.flatnonzero(slabs.span(lo, hi) <= cut)
     vals = totals(flat)
     i = int(np.argmin(vals))
     lowest = float(vals[i])
@@ -413,14 +583,18 @@ def perturb_minimize(
         raise DomainError(f"budget must be >= 1, got {budget}")
     f.assert_proper()
     _require_constant(M)  # every round needs it: fail before the sweep
-    # f is fixed: its slab minima, first argmin (a NaN slab minimum marks a
-    # NaN) and M(|axis|) are taken once per solve.
-    base = _grid_values(f, oracle)
-    slabs = base.reshape(len(oracle.axis), -1)
-    slab_min = slabs.min(axis=1)
-    s = int(np.argmin(slab_min))
-    k_f = s * slabs.shape[1] + int(np.argmin(slabs[s]))
-    if math.isnan(base[k_f]):
+    # f is fixed: its slabs, first argmin (a NaN slab minimum marks a NaN)
+    # and M(|axis|) are taken once per solve.  Slabs built on demand start
+    # with the one of least floor, then every slab whose floor is at or
+    # below that slab's minimum: the others cannot hold f's first argmin.
+    slabs = _slabs(f, oracle)
+    s = int(np.argmin(slabs.floor))
+    if slabs.cover(s, s + 1):
+        near = np.flatnonzero(slabs.floor <= slabs.floor[s])
+        slabs.cover(near[0], near[-1] + 1)
+        s = int(np.argmin(slabs.floor))
+    k_f = s * slabs.size + int(np.argmin(slabs.span(s, s + 1)))
+    if math.isnan(slabs.at(k_f)):
         raise OrliczError("objective returned NaN on the grid")
     m_axis = _terms(M, oracle.axis)
 
@@ -428,7 +602,7 @@ def perturb_minimize(
         # No weights: terms -0.0, so totals are f bit for bit (0 * inf is NaN).
         m = m_axis if weights.sup_norm > 0.0 else np.full_like(m_axis, -0.0)
         parts = [weights.weight_at(i) * m for i in oracle.indices]
-        return _total_values(f, oracle, parts, base, slab_min, refs, level)
+        return _total_values(f, oracle, parts, slabs, refs, level)
 
     theta0 = 0.0 if f.coercive else eps / 4.0
     weights = PerturbationWeights(head=(), tail=theta0)
@@ -497,25 +671,35 @@ def support_from_below(
             return math.inf
         return float(f.eval(x)) - eps_hi * modular(M, x)
 
+    # f1 = f - eps_hi * sigma, +inf outside the ball (where f and sigma may
+    # both be inf), from f's values or f's summed terms and finish (read
+    # after the sums of sigma and sigma(x/r), which may be the same array).
+    def shifted_values(fvals, sigma, scaled, finish=None):
+        outside = scaled > 1.0
+        out = sigma * eps_hi
+        if finish is not None:
+            fvals = finish(fvals)
+        with np.errstate(invalid="ignore"):  # inf - inf happens outside the ball only
+            np.subtract(fvals, out, out=out)
+        out[outside] = math.inf
+        return out
+
     # sigma is separable for every M, so f1 has a grid evaluator when f has a
-    # dense one.  It holds f's values, only read (a user eval_grid may keep
-    # them), a mask, and one array: sigma(x/r) until the mask is taken, then
-    # eps_hi * sigma, then f1's values, +inf outside the ball (where f and
-    # sigma may both be inf).  Otherwise the engine sweeps shifted row by
-    # row, which calls f inside the domain ball only.
+    # dense one: one pass over the sums of f's terms, sigma and sigma(x/r)
+    # when f has a separable form, else over sigma's two and f's values,
+    # only read (a user eval_grid may keep them).  Otherwise the engine
+    # sweeps shifted row by row, which calls f inside the domain ball only.
     def shifted_grid(oracle: GridOracle) -> np.ndarray:
-        base = _grid_values(f, oracle)
+        form = _form(f, oracle)
+        values = None if form is not None else _grid_values(f, oracle)
         with np.errstate(over="ignore"):  # for a tiny r, axis / r may pass the float range: inf
             scaled = oracle.axis / radius_slack
         d = len(oracle.indices)
-        out = oracle.outer_sum([_terms(M, scaled)] * d)
-        outside = out > 1.0
-        oracle.outer_sum([_terms(M, oracle.axis)] * d, out)
-        out *= eps_hi
-        with np.errstate(invalid="ignore"):  # inf - inf happens outside the ball only
-            np.subtract(base, out, out=out)
-        out[outside] = math.inf
-        return out
+        sigmas = [[_terms(M, oracle.axis)] * d, [_terms(M, scaled)] * d]
+        if form is None:
+            return oracle.separable(sigmas, shifted_values, values)
+        terms, finish = form
+        return oracle.separable([terms, *sigmas], functools.partial(shifted_values, finish=finish))
 
     f1 = Objective(
         eval=shifted,

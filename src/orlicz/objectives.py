@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .engine import GridOracle, Objective
+from .engine import GridOracle, Objective, _SeparableGrid
 from .errors import DomainError
 from .functions import OrliczFunction
 from .sequences import SparseSequence, format_sequence, parse_sequence
@@ -30,11 +30,12 @@ def _norm_objective(
     value past the float range is +inf, silently, in all three evaluators.
     eval_dense is from_norm of the dense norms of rows - center; eval is its
     one-row result, from_norm of the scalar norm of x - center, whose default
-    tolerance is the dense kernel's.  For a power family, eval_grid outer-sums
-    the per-axis terms s|x_j - c_j|^p.  These carry no row-max scaling, so when
-    a nonzero difference gives a term below the smallest normal float, or
-    the largest sum is infinite, the grid goes through the streamed dense
-    path instead.  fields are the Objective's remaining fields.
+    tolerance is the dense kernel's.  For a power family, eval_grid is the
+    separable form: the per-axis terms s|x_j - c_j|^p, finished by the p-th
+    root and from_norm.  These carry no row-max scaling, so when a nonzero
+    difference gives a term below the smallest normal float, or the largest
+    sum is infinite, there is no form and the grid goes through the streamed
+    dense path instead.  fields are the Objective's remaining fields.
     """
 
     def shift(indices) -> np.ndarray:
@@ -48,27 +49,34 @@ def _norm_objective(
         with np.errstate(over="ignore"):
             return from_norm(norms)
 
+    def value(x: SparseSequence) -> float:
+        return float(from_norm(np.array([luxemburg_norm(M, x - center)]))[0])
+
     def evaluate(x: SparseSequence) -> float:
-        norm = luxemburg_norm(M, x - center)
-        return float(phi(np.array([norm]))[0])
+        with np.errstate(over="ignore"):
+            return value(x)
+
+    evaluate.unguarded = value  # a row-by-row loop takes one errstate for all rows
 
     def dense(rows: np.ndarray, indices) -> np.ndarray:
         return phi(luxemburg_norm_dense(M, rows - shift(indices)))
 
-    def eval_grid(oracle: GridOracle) -> np.ndarray:
+    def finish(sums: np.ndarray) -> np.ndarray:
+        sums **= 1.0 / M.power[0]
+        return phi(sums)
+
+    def form(oracle: GridOracle):
         diffs = [oracle.axis - c for c in shift(oracle.indices)]
         terms = [_terms(M, d) for d in diffs]
         lost = any((t[d != 0.0] < np.finfo(float).tiny).any() for t, d in zip(terms, diffs))
         if lost or not math.isfinite(sum(float(t.max()) for t in terms)):
-            return oracle.evaluate(dense)
-        norms = oracle.outer_sum(terms)
-        norms **= 1.0 / M.power[0]
-        return phi(norms)
+            return None
+        return terms, finish
 
     return Objective(
         eval=evaluate,
         eval_dense=dense,
-        eval_grid=None if M.power is None else eval_grid,
+        eval_grid=None if M.power is None else _SeparableGrid(form, dense),
         **fields,
     )
 
@@ -79,15 +87,15 @@ def modular_objective(M: OrliczFunction, radius: float = 1.0) -> Objective:
     def dense(rows: np.ndarray, indices) -> np.ndarray:
         return modular_dense(M, rows)
 
-    def eval_grid(oracle: GridOracle) -> np.ndarray:
-        return oracle.outer_sum([_terms(M, oracle.axis)] * len(oracle.indices))
+    def form(oracle: GridOracle):
+        return [_terms(M, oracle.axis)] * len(oracle.indices), lambda sums: sums
 
     return Objective(
         eval=lambda x: modular(M, x),
         domain_radius=radius,
         lower_bound=0.0,
         eval_dense=dense,
-        eval_grid=eval_grid,
+        eval_grid=_SeparableGrid(form, dense),
         coercive=True,
     )
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from orlicz import (
     DomainError,
+    GridOracle,
+    Objective,
     SparseSequence,
     inverse_bump_objective,
     luxemburg_norm,
@@ -18,6 +21,7 @@ from orlicz import (
     shifted_ball_objective,
     squared_distance_objective,
 )
+from orlicz import engine
 
 M2 = make_power(2)
 
@@ -77,6 +81,20 @@ def test_inverse_bump_objective_profile():
     # blows up toward the boundary; saturates to +inf once out of float range
     assert f.eval(SparseSequence.from_pairs([(1, 0.99)])) > 1e40
     assert f.eval(SparseSequence.from_pairs([(1, 0.999)])) == math.inf
+
+
+def test_scalar_rows_past_the_float_range_are_silent_inf():
+    # ||x - z||^2 overflows at every grid point for z = 1e200: a lone eval,
+    # and the engine's row-by-row loop, which runs eval's body under one
+    # errstate for all rows, both read +inf without a numpy warning.
+    f = squared_distance_objective(M2, SparseSequence.from_pairs([(1, 1e200)]))
+    scalar = Objective(eval=f.eval, domain_radius=f.domain_radius, lower_bound=f.lower_bound)
+    oracle = GridOracle((1, 2), step=0.5, radius=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.eval(SparseSequence()) == math.inf
+        vals = engine._grid_values(scalar, oracle)
+    assert np.isinf(vals).all()
 
 
 def test_parse_objective_forms():

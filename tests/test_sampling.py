@@ -113,3 +113,18 @@ def test_grid_sampler_refuses_oversized_grids_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(DomainError):
         GridOracle(step=2.0, radius=1.0)  # step above the radius
+
+
+def test_grid_sampler_refuses_a_draw_past_the_cell_cap_before_allocating():
+    # The oracles are within their own cap of 2^24 points; their draws are
+    # past BallSampler's 2^22 cells: 201^3 x 3 and, just past it, 1,449^2 x 2.
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"8,120,601 points x 3 coordinates exceeds the cap of 4,194,304 cells"):
+            GridOracle((1, 2, 3), step=0.01).dense_points(M2)
+        with pytest.raises(DomainError, match=r"2,099,601 points x 2 coordinates exceeds the cap"):
+            GridOracle((1, 2), step=1.0, radius=724.0).dense_points()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

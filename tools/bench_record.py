@@ -56,12 +56,16 @@ directory.  The record holds:
   perfbench grid operation (averaged over GRID_OPS operations of seed
   SEED0), per criterion 07 and 08 solve and per constant-objective solve,
   with the rounds they take, counted by wrapping `GridOracle.sum_at` in
-  process;
+  process, and the points of every whole-grid or slab outer sum (f, sigma
+  and sigma(x/r) alike), counted by wrapping the engine's `_outer_sum`, or
+  `GridOracle.outer_sum` where there is none;
 - Tier-1 on each side, in TIER1_PAIRS alternating base/change pairs of
-  `pytest --durations=0` runs: the median and quartiles of the wall time,
-  the pass and fail counts of each run, the verdict of each of the 14
-  acceptance criteria in each run (the PASS/FAIL lines of the terminal
-  summary), and the median duration of every test;
+  `pytest --durations=0` runs, each from an empty temporary directory so
+  that it starts with a fresh hypothesis example database: the median and
+  quartiles of the wall time, the pass and fail counts and the failing test
+  ids (pytest's FAILED and ERROR lines) of each run, the verdict of each of
+  the 14 acceptance criteria in each run (the PASS/FAIL lines of the
+  terminal summary), and the median duration of every test;
 - the norm kernel without M' on the sets of DERIVATIVE_FREE: 2,000 random
   rows of widths 8 and 40, about 30% zeros and row magnitudes 1e-4 to 1e2,
   on non-delta2, power:1.5 and power:3 with closed form and deriv1 removed:
@@ -394,11 +398,25 @@ def counted_sum_at(self, parts, flat):
 GridOracle.sum_at = counted_sum_at
 
 
+def counted_outer(raw):
+    def call(*args, **kwargs):
+        out = raw(*args, **kwargs)
+        counts["outer_sum_points"] += out.size
+        return out
+    return call
+
+
+if hasattr(engine, "_outer_sum"):
+    engine._outer_sum = counted_outer(engine._outer_sum)
+else:
+    GridOracle.outer_sum = counted_outer(GridOracle.outer_sum)
+
+
 def taken(run, n=1):
     counts.clear()
     for r in range(n):
         run(r)
-    return {k: counts[k] / n for k in ("points", "rounds")}
+    return {k: counts[k] / n for k in ("points", "rounds", "outer_sum_points")}
 
 
 M = make_power(2.0)
@@ -630,19 +648,23 @@ def _wellposed_timing(sides: dict[str, Path]) -> dict:
 
 
 def _tier1_run(tree: Path) -> dict:
-    """Wall seconds, outcome counts, criterion verdicts and per-test durations
-    of one Tier-1 run."""
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *TIER1_ARGS], cwd=tree,
-                          env=_env(tree / "src"), capture_output=True, text=True)
-    seconds = time.perf_counter() - start
+    """Wall seconds, outcome counts, failing test ids, criterion verdicts and
+    per-test durations of one Tier-1 run.  It runs from an empty temporary
+    directory, where hypothesis keeps its example database, so that no
+    example found by an earlier run is replayed."""
+    cmd = [sys.executable, "-m", "pytest", "-q", *TIER1_ARGS, "--rootdir", str(tree), str(tree / "tests")]
+    with tempfile.TemporaryDirectory() as cwd:
+        start = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=cwd, env=_env(tree / "src"), capture_output=True, text=True)
+        seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?|skipped)", lines[-1])}
     durations = collections.Counter()
     for m in re.finditer(r"^([\d.]+)s (?:setup|call|teardown) +(\S.*?) *$", proc.stdout, re.M):
         durations[m[2]] += float(m[1])
     criteria = dict(re.findall(r"^(criterion \d+ .*): (PASS|FAIL)$", proc.stdout, re.M))
-    return {"seconds": seconds, "counts": counts, "criteria": criteria, "durations": durations}
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
+    return {"seconds": seconds, "counts": counts, "failed": failed, "criteria": criteria, "durations": durations}
 
 
 def _tier1(sides: dict[str, Path]) -> dict:
@@ -656,6 +678,7 @@ def _tier1(sides: dict[str, Path]) -> dict:
         out[side] = {
             "seconds": _summary([r["seconds"] for r in rs]),
             "counts": [r["counts"] for r in rs],
+            "failed_ids": [r["failed"] for r in rs],
             "criterion_verdicts": {c: [r["criteria"].get(c) for r in rs] for c in sorted(set().union(*(r["criteria"] for r in rs)))},
             "test_median_s": {i: statistics.median(r["durations"][i] for r in rs)
                               for i in sorted(set().union(*(r["durations"] for r in rs)))},
