@@ -185,16 +185,25 @@ class GridOracle:
             out[start : start + _CHUNK_ROWS] = chunk(start)
         return out
 
-    def outer_sum(self, parts: list[np.ndarray]) -> np.ndarray:
-        """sum_j parts[j][k_j] at every grid point, in flat order, in a new array.
+    @staticmethod
+    def outer_sum(parts: list[np.ndarray]) -> np.ndarray:
+        """sum_j parts[j][k_j] at every index tuple of the vectors, in C order, in a new array.
 
-        parts holds one float vector of length 2n+1 per coordinate; the d
-        vectors are outer-added in the grid's C order, left to right.
-        numpy's row sum adds up to 7 columns in that order, so a sum of the
-        same terms matches it bit for bit below 8 coordinates; at 8 the row
-        sum goes pairwise and the two may differ in the last bits.
+        With one vector of length 2n+1 per coordinate, that is every grid
+        point in flat order; separable() also passes a leading vector cut to
+        a run of slabs.  The vectors are outer-added left to right: each row
+        of the last vector gets that vector, plus the outer sum of the others
+        as a column (x + y = y + x in IEEE arithmetic), so every sum adds its
+        terms in the order sum_at does.  numpy's row sum adds up to 7 columns
+        in that order, so a sum of the same terms matches it bit for bit
+        below 8 coordinates; at 8 the row sum goes pairwise and the two may
+        differ in the last bits.
         """
-        return _outer_sum(parts)
+        out = np.empty((math.prod(len(p) for p in parts[:-1]), len(parts[-1])))
+        out[:] = parts[-1]
+        if len(parts) > 1:
+            out += functools.reduce(np.add.outer, parts[:-1]).reshape(-1, 1)
+        return out.reshape(-1)
 
     def sum_at(self, parts: list[np.ndarray], flat: np.ndarray) -> np.ndarray:
         """outer_sum's sums of one vector per axis at the flat indices only, bit for bit."""
@@ -232,7 +241,7 @@ class GridOracle:
         per_slab = block.size // len(block)
         step = max(1, _CHUNK_ROWS // per_slab)
         for s in range(0, len(block), step):
-            sums = {key: _outer_sum([p[0][s : s + step], *p[1:]]) for key, p in parts.items()}
+            sums = {key: self.outer_sum([p[0][s : s + step], *p[1:]]) for key, p in parts.items()}
             args = [sums[key] for key in keys]
             if values is not None:
                 args.insert(0, values[s * per_slab : (s + step) * per_slab])
@@ -249,20 +258,6 @@ class GridOracle:
             f"grid(indices={list(self.indices)}, step={self.step:g}, "
             f"radius={self.radius:g}, points={self.points})"
         )
-
-
-def _outer_sum(parts: list[np.ndarray]) -> np.ndarray:
-    """sum_j parts[j][k_j] at every index tuple of the vectors, in C order, in a new array.
-
-    Each row of the last vector gets that vector, plus the outer sum of the
-    others as a column (x + y = y + x in IEEE arithmetic), so every sum adds
-    its terms left to right, as GridOracle.sum_at does.
-    """
-    out = np.empty((math.prod(len(p) for p in parts[:-1]), len(parts[-1])))
-    out[:] = parts[-1]
-    if len(parts) > 1:
-        out += functools.reduce(np.add.outer, parts[:-1]).reshape(-1, 1)
-    return out.reshape(-1)
 
 
 def _palindrome(v: np.ndarray) -> bool:
@@ -306,16 +301,8 @@ def _checked(vals, n: int, kind: str) -> np.ndarray:
 
 
 def _eval_each(f: Objective, seqs) -> np.ndarray:
-    """f.eval at each sparse sequence of an iterable, as a float array.
-
-    A built-in eval that silences overflow on each call carries its body as
-    eval.unguarded; the loop runs that body under one errstate instead.
-    """
-    each = getattr(f.eval, "unguarded", None)
-    if each is None:
-        return np.fromiter((float(f.eval(x)) for x in seqs), dtype=float)
-    with np.errstate(over="ignore"):
-        return np.fromiter((each(x) for x in seqs), dtype=float)
+    """f.eval at each sparse sequence of an iterable, as a float array."""
+    return np.fromiter((float(f.eval(x)) for x in seqs), dtype=float)
 
 
 def _grid_values(f: Objective, oracle: GridOracle) -> np.ndarray:
@@ -455,7 +442,7 @@ class _Slabs:
         if self.lo < self.hi:
             a, b = min(a, self.lo), max(b, self.hi)
         terms, finish = self.form
-        self.vals = finish(_outer_sum([terms[0][a:b], *terms[1:]]))
+        self.vals = finish(GridOracle.outer_sum([terms[0][a:b], *terms[1:]]))
         self.floor[a:b] = self.vals.reshape(b - a, -1).min(axis=1)
         self.lo, self.hi = a, b
         return True

@@ -49,14 +49,9 @@ def _norm_objective(
         with np.errstate(over="ignore"):
             return from_norm(norms)
 
-    def value(x: SparseSequence) -> float:
-        return float(from_norm(np.array([luxemburg_norm(M, x - center)]))[0])
-
     def evaluate(x: SparseSequence) -> float:
-        with np.errstate(over="ignore"):
-            return value(x)
-
-    evaluate.unguarded = value  # a row-by-row loop takes one errstate for all rows
+        norm = luxemburg_norm(M, x - center)
+        return float(phi(np.array([norm]))[0])
 
     def dense(rows: np.ndarray, indices) -> np.ndarray:
         return phi(luxemburg_norm_dense(M, rows - shift(indices)))

@@ -57,8 +57,7 @@ directory.  The record holds:
   SEED0), per criterion 07 and 08 solve and per constant-objective solve,
   with the rounds they take, counted by wrapping `GridOracle.sum_at` in
   process, and the points of every whole-grid or slab outer sum (f, sigma
-  and sigma(x/r) alike), counted by wrapping the engine's `_outer_sum`, or
-  `GridOracle.outer_sum` where there is none;
+  and sigma(x/r) alike), counted by wrapping `GridOracle.outer_sum`;
 - Tier-1 on each side, in TIER1_PAIRS alternating base/change pairs of
   `pytest --durations=0` runs, each from an empty temporary directory so
   that it starts with a fresh hypothesis example database: the median and
@@ -364,11 +363,11 @@ print(json.dumps({
 
 # The grid points the rounds sum g_a + f at: argv[1] perfbench grid
 # operations (seed argv[2]), then criteria 07 and 08 and the constant
-# objective on the 8.1M-point grid, with GridOracle.sum_at and
+# objective on the 8.1M-point grid, with GridOracle.sum_at, GridOracle.outer_sum and
 # engine._total_values wrapped; prints points and rounds per operation or
 # solve.
 ROUND_POINTS = r"""
-import collections, json, sys
+import collections, inspect, json, sys
 sys.path[:0] = ["src", "perfbench"]
 import numpy as np
 from orlicz import engine
@@ -406,10 +405,12 @@ def counted_outer(raw):
     return call
 
 
-if hasattr(engine, "_outer_sum"):
-    engine._outer_sum = counted_outer(engine._outer_sum)
+# A static outer_sum (the change) must stay static; the base's is a method.
+raw_outer = inspect.getattr_static(GridOracle, "outer_sum")
+if isinstance(raw_outer, staticmethod):
+    GridOracle.outer_sum = staticmethod(counted_outer(raw_outer.__func__))
 else:
-    GridOracle.outer_sum = counted_outer(GridOracle.outer_sum)
+    GridOracle.outer_sum = counted_outer(raw_outer)
 
 
 def taken(run, n=1):
