@@ -85,8 +85,8 @@ def test_inverse_bump_objective_profile():
 
 def test_scalar_rows_past_the_float_range_are_silent_inf():
     # ||x - z||^2 overflows at every grid point for z = 1e200: a lone eval,
-    # and the engine's row-by-row loop, which runs eval's body under one
-    # errstate for all rows, both read +inf without a numpy warning.
+    # and the engine's row-by-row loop over eval, both read +inf without a
+    # numpy warning.
     f = squared_distance_objective(M2, SparseSequence.from_pairs([(1, 1e200)]))
     scalar = Objective(eval=f.eval, domain_radius=f.domain_radius, lower_bound=f.lower_bound)
     oracle = GridOracle((1, 2), step=0.5, radius=1.0)
